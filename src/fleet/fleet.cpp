@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 #include "util/status.h"
@@ -40,42 +41,22 @@ std::string to_string(ServerHealth health) {
   return "unknown";
 }
 
-// One GEMM submission's fleet-side state.  Owns operand copies so any
-// server can serve it at any time; `resolved` is the exactly-once CAS.
-struct Fleet::GemmTicket {
-  std::uint64_t id = 0;
+// One submission's fleet-side state.  Owns operand copies so any server
+// can serve it at any time; `done` is the exactly-once resolution.
+template <typename Result>
+struct Fleet::Ticket {
+  static constexpr bool kGemm = std::is_same_v<Result, serve::GemmResult>;
   std::string tenant;
-  gemm::Mat32 a;
+  gemm::Mat32 a;                            // GEMM operands
   std::shared_ptr<const gemm::Mat32> b;
+  std::shared_ptr<const nn::Model> model;   // inference payload
   serve::SubmitOptions submit;  // deadline_ms recomputed per attempt
   Clock::time_point enqueue;
   Clock::time_point deadline = Clock::time_point::max();
-  std::atomic<bool> resolved{false};
-  std::atomic<bool> hedged{false};
   std::atomic<int> failovers{0};
-  std::promise<serve::GemmResult> promise;
-};
-
-struct Fleet::InferTicket {
-  std::uint64_t id = 0;
-  std::string tenant;
-  std::shared_ptr<const nn::Model> model;
-  serve::SubmitOptions submit;
-  Clock::time_point enqueue;
-  Clock::time_point deadline = Clock::time_point::max();
-  std::atomic<bool> resolved{false};
-  std::atomic<int> failovers{0};
-  std::promise<serve::InferenceResult> promise;
-};
-
-// One (ticket, server future) pair awaiting collection.  Exactly one of
-// gemm/infer is set; `hedge` marks the duplicate half of a hedged pair.
-struct Fleet::Pending {
-  std::shared_ptr<GemmTicket> gemm;
-  std::shared_ptr<InferTicket> infer;
-  std::future<serve::GemmResult> gemm_future;
-  std::future<serve::InferenceResult> infer_future;
-  bool hedge = false;
+  std::atomic<bool> hedged{false};  // the one hedge was claimed (GEMM only)
+  std::atomic<int> server{-1};      // latest placement; a hedge avoids it
+  serve::Completion<Result> done;
 };
 
 struct Fleet::Node {
@@ -88,11 +69,11 @@ struct Fleet::Node {
   int ok_streak = 0;
   std::int64_t placed = 0;
   std::int64_t probe_failures = 0;
-  std::deque<Pending> pending;
+  // Attempts submitted here whose continuation has not run yet — what
+  // drain_server waits on; `idle` is notified when it reaches zero.
+  std::int64_t in_flight = 0;
   mutable std::mutex mutex;  // guards everything above (except index)
-  std::condition_variable cv;
-  std::thread collector;
-  std::atomic<bool> stop{false};
+  std::condition_variable idle;
 };
 
 Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
@@ -119,12 +100,8 @@ Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
         std::make_shared<serve::Server>(specs_[i].config, specs_[i].options);
     nodes_.push_back(std::move(node));
   }
-  for (auto& node : nodes_) {
-    Node* raw = node.get();
-    raw->collector = std::thread([this, raw] { collector_loop(*raw); });
-  }
-  if (options_.probe_interval_ms > 0.0) {
-    prober_ = std::thread([this] { prober_loop(); });
+  if (options_.probe_interval_ms > 0.0 || options_.hedge_ms > 0.0) {
+    background_ = std::thread([this] { background_loop(); });
   }
 }
 
@@ -135,13 +112,14 @@ void Fleet::shutdown() {
   if (shut_down_.exchange(true)) return;
   admission_closed_.store(true);
   {
-    std::lock_guard<std::mutex> lock(prober_mutex_);
+    std::lock_guard<std::mutex> lock(background_mutex_);
   }
-  prober_cv_.notify_all();
-  if (prober_.joinable()) prober_.join();
-  // Graceful half: every live server drains and SERVES its queue, so the
-  // collectors resolve the outstanding tickets with values, not failovers
-  // (admission is closed, so no new pending entries appear anywhere).
+  background_cv_.notify_all();
+  if (background_.joinable()) background_.join();
+  // Graceful: every server drains and SERVES its queue, and joining its
+  // workers waits out the continuations that resolve the outstanding
+  // tickets — with values, not failovers (admission is closed, so a
+  // failover resolves its ticket with the attempt's error instead).
   for (auto& node : nodes_) {
     std::shared_ptr<serve::Server> server;
     {
@@ -149,13 +127,6 @@ void Fleet::shutdown() {
       server = node->server;
     }
     if (server) server->shutdown();
-  }
-  for (auto& node : nodes_) {
-    node->stop.store(true);
-    node->cv.notify_all();
-  }
-  for (auto& node : nodes_) {
-    if (node->collector.joinable()) node->collector.join();
   }
 }
 
@@ -185,7 +156,8 @@ std::vector<ServerLoad> Fleet::snapshot_loads(int exclude) const {
   return loads;
 }
 
-void Fleet::submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
+template <typename Result>
+void Fleet::submit_to(int server, const TicketPtr<Result>& ticket,
                       PlaceKind kind) {
   Node& node = *nodes_[server];
   std::shared_ptr<serve::Server> srv;
@@ -197,79 +169,61 @@ void Fleet::submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
                                            << to_string(node.health)).str());
     }
     srv = node.server;
-  }
-  serve::SubmitOptions submit = ticket->submit;
-  // Per-server admission never blocks: a full queue throws kOverloaded and
-  // placement moves on; the fleet-level "block" policy owns the waiting.
-  submit.admission_timeout_ms = 0.0;
-  if (ticket->deadline != Clock::time_point::max()) {
-    const double remaining = ms_until(ticket->deadline, Clock::now());
-    if (remaining <= 0.0) {
-      throw_code(ErrorCode::kDeadlineExceeded,
-                 "deadline exhausted before placement");
-    }
-    submit.deadline_ms = remaining;
-  }
-  std::future<serve::GemmResult> future =
-      srv->submit_gemm(ticket->tenant, ticket->a, ticket->b, submit);
-  // Admission succeeded: count the attempt BEFORE publishing the pending
-  // entry — once published, another node's collector can resolve the
-  // ticket and a stats() reader woken by that must already see this.
-  if (kind == PlaceKind::kFailover) {
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-  } else if (kind == PlaceKind::kHedge) {
-    hedges_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(node.mutex);
     node.placed += 1;
-    Pending entry;
-    entry.gemm = ticket;
-    entry.gemm_future = std::move(future);
-    entry.hedge = kind == PlaceKind::kHedge;
-    node.pending.push_back(std::move(entry));
+    node.in_flight += 1;
   }
-  node.cv.notify_all();
+  // Everything is counted BEFORE the submit: the continuation may resolve
+  // the ticket on a worker before submit returns, and a stats() reader
+  // woken by that must already see this attempt.  A refused submit rolls
+  // the counts back.
+  std::atomic<std::int64_t>* attempts =
+      kind == PlaceKind::kFailover ? &failovers_
+      : kind == PlaceKind::kHedge  ? &hedges_
+                                   : nullptr;
+  if (attempts != nullptr) attempts->fetch_add(1, std::memory_order_relaxed);
+  try {
+    serve::SubmitOptions submit = ticket->submit;
+    // Per-server admission never blocks: a full queue throws kOverloaded
+    // and placement moves on; the fleet-level "block" policy owns the
+    // waiting.
+    submit.admission_timeout_ms = 0.0;
+    if (ticket->deadline != Clock::time_point::max()) {
+      const double remaining = ms_until(ticket->deadline, Clock::now());
+      if (remaining <= 0.0) {
+        throw_code(ErrorCode::kDeadlineExceeded,
+                   "deadline exhausted before placement");
+      }
+      submit.deadline_ms = remaining;
+    }
+    ticket->server.store(server, std::memory_order_relaxed);
+    auto then = [this, ticket, server, hedge = kind == PlaceKind::kHedge](
+                    serve::Outcome<Result> outcome) {
+      on_settled(ticket, server, hedge, std::move(outcome));
+    };
+    if constexpr (Ticket<Result>::kGemm) {
+      srv->submit_gemm(ticket->tenant, ticket->a, ticket->b, submit,
+                       std::move(then));
+    } else {
+      srv->submit_inference(ticket->tenant, ticket->model, submit,
+                            std::move(then));
+    }
+  } catch (...) {
+    if (attempts != nullptr) {
+      attempts->fetch_sub(1, std::memory_order_relaxed);
+    }
+    end_attempt(node, /*unplace=*/true);
+    throw;
+  }
 }
 
-void Fleet::submit_to(int server, const std::shared_ptr<InferTicket>& ticket,
-                      PlaceKind kind) {
-  Node& node = *nodes_[server];
-  std::shared_ptr<serve::Server> srv;
+void Fleet::end_attempt(Node& node, bool unplace) {
+  bool idle = false;
   {
     std::lock_guard<std::mutex> lock(node.mutex);
-    if (node.health != ServerHealth::kHealthy || !node.server) {
-      throw_code(ErrorCode::kUnavailable,
-                 (detail::MessageBuilder() << "server " << server << " is "
-                                           << to_string(node.health)).str());
-    }
-    srv = node.server;
+    if (unplace) node.placed -= 1;
+    idle = --node.in_flight == 0;
   }
-  serve::SubmitOptions submit = ticket->submit;
-  submit.admission_timeout_ms = 0.0;
-  if (ticket->deadline != Clock::time_point::max()) {
-    const double remaining = ms_until(ticket->deadline, Clock::now());
-    if (remaining <= 0.0) {
-      throw_code(ErrorCode::kDeadlineExceeded,
-                 "deadline exhausted before placement");
-    }
-    submit.deadline_ms = remaining;
-  }
-  std::future<serve::InferenceResult> future =
-      srv->submit_inference(ticket->tenant, ticket->model, submit);
-  // Same ordering as the GEMM path: count before publishing.
-  if (kind == PlaceKind::kFailover) {
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(node.mutex);
-    node.placed += 1;
-    Pending entry;
-    entry.infer = ticket;
-    entry.infer_future = std::move(future);
-    node.pending.push_back(std::move(entry));
-  }
-  node.cv.notify_all();
+  if (idle) node.idle.notify_all();
 }
 
 namespace {
@@ -293,9 +247,9 @@ std::vector<int> spill_candidates(const std::vector<ServerLoad>& loads,
 
 }  // namespace
 
-int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
-                          int exclude, PlaceKind kind,
-                          bool* overloaded_everywhere) {
+template <typename Result>
+int Fleet::try_place(const TicketPtr<Result>& ticket, int exclude,
+                     PlaceKind kind, bool* overloaded_everywhere) {
   *overloaded_everywhere = false;
   const std::vector<ServerLoad> loads = snapshot_loads(exclude);
   int first = -1;
@@ -332,43 +286,6 @@ int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
   return -1;
 }
 
-int Fleet::try_place_infer(const std::shared_ptr<InferTicket>& ticket,
-                           int exclude, PlaceKind kind,
-                           bool* overloaded_everywhere) {
-  *overloaded_everywhere = false;
-  const std::vector<ServerLoad> loads = snapshot_loads(exclude);
-  int first = -1;
-  {
-    std::lock_guard<std::mutex> lock(router_mutex_);
-    first = router_->place(affinity_key(ticket->tenant), loads);
-  }
-  if (first < 0) return -1;
-  std::vector<int> candidates{first};
-  for (const int slot : spill_candidates(loads, first)) {
-    candidates.push_back(slot);
-  }
-  int overload_rejections = 0;
-  int other_failures = 0;
-  for (const int slot : candidates) {
-    try {
-      submit_to(slot, ticket, kind);
-      if (overload_rejections > 0) {
-        rerouted_overload_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return slot;
-    } catch (const Error& e) {
-      if (e.code() == ErrorCode::kDeadlineExceeded) throw;
-      if (e.code() == ErrorCode::kOverloaded) {
-        ++overload_rejections;
-      } else {
-        ++other_failures;
-      }
-    }
-  }
-  *overloaded_everywhere = overload_rejections > 0 && other_failures == 0;
-  return -1;
-}
-
 // --- client entry points ---------------------------------------------------
 
 std::future<serve::GemmResult> Fleet::submit_gemm(
@@ -378,81 +295,12 @@ std::future<serve::GemmResult> Fleet::submit_gemm(
   if (admission_closed_.load()) {
     throw_code(ErrorCode::kShutdown, "submit_gemm on a shut-down fleet");
   }
-  auto ticket = std::make_shared<GemmTicket>();
-  ticket->id = next_ticket_.fetch_add(1);
+  auto ticket = std::make_shared<Ticket<serve::GemmResult>>();
   ticket->tenant = tenant;
   ticket->a = std::move(a);
   ticket->b = std::move(b);
   ticket->submit = submit;
-  ticket->enqueue = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    ticket->deadline = ticket->enqueue + from_ms(submit.deadline_ms);
-  }
-  std::future<serve::GemmResult> future = ticket->promise.get_future();
-
-  submitted_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(tenants_mutex_);
-    tenant_books_[tenant].submitted += 1;
-  }
-  const Clock::time_point admission_deadline =
-      submit.admission_timeout_ms >= 0.0
-          ? ticket->enqueue + from_ms(submit.admission_timeout_ms)
-          : Clock::time_point::max();
-  bool degraded_already = false;
-  try {
-    while (true) {
-      bool overloaded_everywhere = false;
-      const int slot =
-          try_place_gemm(ticket, /*exclude=*/-1, PlaceKind::kInitial,
-                         &overloaded_everywhere);
-      if (slot >= 0) return future;
-      if (!overloaded_everywhere) {
-        throw_code(ErrorCode::kUnavailable, "no routable server in the fleet");
-      }
-      switch (overload_policy_) {
-        case serve::OverloadPolicy::kReject:
-          throw_code(ErrorCode::kOverloaded,
-                     "every routable server rejected the request");
-        case serve::OverloadPolicy::kDegrade:
-          // Shed fidelity, not the request: one cost-only retry.
-          if (degraded_already) {
-            throw_code(ErrorCode::kOverloaded,
-                       "every routable server rejected, even cost-only");
-          }
-          ticket->submit.want_output = false;
-          ticket->submit.backend.clear();
-          degraded_already = true;
-          degraded_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case serve::OverloadPolicy::kBlock:
-          if (Clock::now() >= admission_deadline) {
-            throw_code(ErrorCode::kOverloaded,
-                       "fleet admission timed out under overload");
-          }
-          if (ticket->deadline != Clock::time_point::max() &&
-              Clock::now() >= ticket->deadline) {
-            throw_code(ErrorCode::kDeadlineExceeded,
-                       "deadline exhausted while blocked on admission");
-          }
-          if (admission_closed_.load()) {
-            throw_code(ErrorCode::kShutdown,
-                       "fleet shut down while blocked on admission");
-          }
-          std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
-          break;
-      }
-    }
-  } catch (...) {
-    // Nothing was admitted: unwind the books so a thrown submit is not a
-    // permanently dangling "submitted" entry.
-    submitted_.fetch_sub(1);
-    {
-      std::lock_guard<std::mutex> lock(tenants_mutex_);
-      tenant_books_[tenant].submitted -= 1;
-    }
-    throw;
-  }
+  return place_new(ticket);
 }
 
 std::future<serve::InferenceResult> Fleet::submit_inference(
@@ -462,41 +310,67 @@ std::future<serve::InferenceResult> Fleet::submit_inference(
   if (admission_closed_.load()) {
     throw_code(ErrorCode::kShutdown, "submit_inference on a shut-down fleet");
   }
-  auto ticket = std::make_shared<InferTicket>();
-  ticket->id = next_ticket_.fetch_add(1);
+  auto ticket = std::make_shared<Ticket<serve::InferenceResult>>();
   ticket->tenant = tenant;
   ticket->model = std::move(model);
   ticket->submit = submit;
+  return place_new(ticket);
+}
+
+template <typename Result>
+std::future<Result> Fleet::place_new(const TicketPtr<Result>& ticket) {
   ticket->enqueue = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    ticket->deadline = ticket->enqueue + from_ms(submit.deadline_ms);
+  if (ticket->submit.deadline_ms > 0.0) {
+    ticket->deadline = ticket->enqueue + from_ms(ticket->submit.deadline_ms);
   }
-  std::future<serve::InferenceResult> future = ticket->promise.get_future();
+  std::future<Result> future = ticket->done.get_future();
 
   submitted_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(tenants_mutex_);
-    tenant_books_[tenant].submitted += 1;
+    tenant_books_[ticket->tenant].submitted += 1;
   }
   const Clock::time_point admission_deadline =
-      submit.admission_timeout_ms >= 0.0
-          ? ticket->enqueue + from_ms(submit.admission_timeout_ms)
+      ticket->submit.admission_timeout_ms >= 0.0
+          ? ticket->enqueue + from_ms(ticket->submit.admission_timeout_ms)
           : Clock::time_point::max();
+  bool degraded_already = false;
   try {
     while (true) {
       bool overloaded_everywhere = false;
-      const int slot =
-          try_place_infer(ticket, /*exclude=*/-1, PlaceKind::kInitial,
-                          &overloaded_everywhere);
-      if (slot >= 0) return future;
+      if (try_place(ticket, /*exclude=*/-1, PlaceKind::kInitial,
+                    &overloaded_everywhere) >= 0) {
+        if constexpr (Ticket<Result>::kGemm) {
+          if (options_.hedge_ms > 0.0) {
+            std::lock_guard<std::mutex> lock(hedge_mutex_);
+            hedge_watch_.push_back(ticket);
+          }
+        }
+        return future;
+      }
       if (!overloaded_everywhere) {
         throw_code(ErrorCode::kUnavailable, "no routable server in the fleet");
       }
-      // Inference has no cost-only fallback; "degrade" composes as block.
       if (overload_policy_ == serve::OverloadPolicy::kReject) {
         throw_code(ErrorCode::kOverloaded,
-                   "every routable server rejected the inference");
+                   "every routable server rejected the request");
       }
+      if constexpr (Ticket<Result>::kGemm) {
+        if (overload_policy_ == serve::OverloadPolicy::kDegrade) {
+          // Shed fidelity, not the request: one cost-only retry.
+          if (degraded_already) {
+            throw_code(ErrorCode::kOverloaded,
+                       "every routable server rejected, even cost-only");
+          }
+          ticket->submit.want_output = false;
+          ticket->submit.backend.clear();
+          degraded_already = true;
+          degraded_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+      }
+      // "block" — and inference's "degrade", which has no cost-only
+      // fallback and so composes as block.
       if (Clock::now() >= admission_deadline) {
         throw_code(ErrorCode::kOverloaded,
                    "fleet admission timed out under overload");
@@ -513,16 +387,18 @@ std::future<serve::InferenceResult> Fleet::submit_inference(
       std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
     }
   } catch (...) {
+    // Nothing was admitted: unwind the books so a thrown submit is not a
+    // permanently dangling "submitted" entry.
     submitted_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(tenants_mutex_);
-      tenant_books_[tenant].submitted -= 1;
+      tenant_books_[ticket->tenant].submitted -= 1;
     }
     throw;
   }
 }
 
-// --- collection: resolve, fail over, hedge ---------------------------------
+// --- settlement: resolve or fail over --------------------------------------
 
 bool Fleet::failover_safe(const std::exception_ptr& eptr) {
   try {
@@ -540,112 +416,40 @@ bool Fleet::failover_safe(const std::exception_ptr& eptr) {
   }
 }
 
-void Fleet::collector_loop(Node& node) {
-  std::unique_lock<std::mutex> lock(node.mutex);
+template <typename Result>
+void Fleet::on_settled(const TicketPtr<Result>& ticket, int server,
+                       bool hedge, serve::Outcome<Result> outcome) {
+  end_attempt(*nodes_[server], /*unplace=*/false);
+  if (!outcome.ok() && failover_safe(outcome.error) &&
+      !ticket->done.settled()) {
+    failover(ticket, server, std::move(outcome.error));
+  } else {
+    resolve(ticket, std::move(outcome), hedge);
+  }
+}
+
+template <typename Result>
+void Fleet::failover(const TicketPtr<Result>& ticket, int from,
+                     std::exception_ptr error) {
+  // Runs on the thread that settled the failed attempt.  Each pass burns
+  // one unit of the ticket's failover budget, so the overload backoff
+  // below sleeps that thread for at most max_failovers x block_retry_ms.
   while (true) {
-    bool handled = false;
-    for (std::size_t i = 0; i < node.pending.size(); ++i) {
-      Pending& entry = node.pending[i];
-      const bool ready =
-          entry.gemm
-              ? entry.gemm_future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready
-              : entry.infer_future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-      if (!ready) continue;
-      Pending taken = std::move(entry);
-      node.pending.erase(node.pending.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      lock.unlock();
-      if (taken.gemm) {
-        handle_gemm_ready(node, taken);
-      } else {
-        handle_infer_ready(node, taken);
-      }
-      lock.lock();
-      handled = true;
-      break;  // re-scan: the deque may have changed while unlocked
-    }
-    if (handled) continue;
-
-    if (options_.hedge_ms > 0.0 && !admission_closed_.load()) {
-      // Claim hedge candidates under the lock, submit them outside it
-      // (submitting locks ANOTHER node's mutex; holding ours too would
-      // order locks both ways across collectors).
-      std::vector<std::shared_ptr<GemmTicket>> to_hedge;
-      const Clock::time_point now = Clock::now();
-      const Clock::duration hedge_after = from_ms(options_.hedge_ms);
-      for (const Pending& entry : node.pending) {
-        if (!entry.gemm || entry.hedge) continue;
-        GemmTicket& ticket = *entry.gemm;
-        if (ticket.resolved.load()) continue;
-        const bool slow = now - ticket.enqueue >= hedge_after;
-        const bool near_deadline =
-            ticket.deadline != Clock::time_point::max() &&
-            ticket.deadline - now <= hedge_after;
-        if (!slow && !near_deadline) continue;
-        if (ticket.hedged.exchange(true)) continue;
-        to_hedge.push_back(entry.gemm);
-      }
-      if (!to_hedge.empty()) {
-        lock.unlock();
-        for (const auto& ticket : to_hedge) issue_hedge(ticket, node.index);
-        lock.lock();
-        continue;
-      }
-    }
-
-    if (node.stop.load() && node.pending.empty()) break;
-    node.cv.wait_for(lock, std::chrono::microseconds(200));
-  }
-}
-
-void Fleet::handle_gemm_ready(Node& node, Pending& entry) {
-  try {
-    serve::GemmResult result = entry.gemm_future.get();
-    resolve_ok(entry.gemm, std::move(result), entry.hedge);
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    if (failover_safe(error) && !entry.gemm->resolved.load()) {
-      failover_gemm(entry.gemm, node.index, error);
-    } else {
-      resolve_err(entry.gemm, error);
-    }
-  }
-}
-
-void Fleet::handle_infer_ready(Node& node, Pending& entry) {
-  try {
-    serve::InferenceResult result = entry.infer_future.get();
-    resolve_ok(entry.infer, std::move(result));
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    if (failover_safe(error) && !entry.infer->resolved.load()) {
-      failover_infer(entry.infer, node.index, error);
-    } else {
-      resolve_err(entry.infer, error);
-    }
-  }
-}
-
-void Fleet::failover_gemm(const std::shared_ptr<GemmTicket>& ticket, int from,
-                          std::exception_ptr error) {
-  while (true) {
-    if (ticket->resolved.load()) return;  // a hedge landed first
+    if (ticket->done.settled()) return;  // a hedge landed first
     if (admission_closed_.load()) break;
     if (ticket->deadline != Clock::time_point::max() &&
         Clock::now() >= ticket->deadline) {
-      error = std::make_exception_ptr(
-          Error("deadline exhausted during failover", //
-                ErrorCode::kDeadlineExceeded));
+      error = std::make_exception_ptr(Error(
+          "deadline exhausted during failover", ErrorCode::kDeadlineExceeded));
       break;
     }
     if (ticket->failovers.fetch_add(1) >= options_.max_failovers) break;
     try {
       bool overloaded_everywhere = false;
-      const int slot = try_place_gemm(ticket, from, PlaceKind::kFailover,
-                                      &overloaded_everywhere);
-      if (slot >= 0) return;  // re-admitted; the new collector owns it
+      if (try_place(ticket, from, PlaceKind::kFailover,
+                    &overloaded_everywhere) >= 0) {
+        return;  // re-admitted; the new attempt's continuation owns it
+      }
       if (!overloaded_everywhere) break;  // no survivor to take it
       // All survivors overloaded: back off briefly and try again on the
       // remaining failover budget rather than dropping a live request.
@@ -654,53 +458,9 @@ void Fleet::failover_gemm(const std::shared_ptr<GemmTicket>& ticket, int from,
       break;  // deadline tripped inside placement
     }
   }
-  resolve_err(ticket, error);
+  resolve(ticket, serve::Outcome<Result>{{}, std::move(error)},
+          /*from_hedge=*/false);
 }
-
-void Fleet::failover_infer(const std::shared_ptr<InferTicket>& ticket,
-                           int from, std::exception_ptr error) {
-  while (true) {
-    if (ticket->resolved.load()) return;
-    if (admission_closed_.load()) break;
-    if (ticket->deadline != Clock::time_point::max() &&
-        Clock::now() >= ticket->deadline) {
-      error = std::make_exception_ptr(
-          Error("deadline exhausted during failover",
-                ErrorCode::kDeadlineExceeded));
-      break;
-    }
-    if (ticket->failovers.fetch_add(1) >= options_.max_failovers) break;
-    try {
-      bool overloaded_everywhere = false;
-      const int slot = try_place_infer(ticket, from, PlaceKind::kFailover,
-                                       &overloaded_everywhere);
-      if (slot >= 0) return;  // re-admitted; the new collector owns it
-      if (!overloaded_everywhere) break;
-      std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
-    } catch (const Error&) {
-      break;
-    }
-  }
-  resolve_err(ticket, error);
-}
-
-void Fleet::issue_hedge(const std::shared_ptr<GemmTicket>& ticket, int from) {
-  if (ticket->resolved.load() || admission_closed_.load()) return;
-  try {
-    bool overloaded_everywhere = false;
-    const int slot =
-        try_place_gemm(ticket, from, PlaceKind::kHedge, &overloaded_everywhere);
-    (void)slot;  // counted inside submit_to, before the entry publishes
-    // Placement failed: the original attempt is still in flight, so the
-    // ticket is NOT at risk — just unhedged (hedged stays claimed; one
-    // shot per ticket keeps hedge load bounded).
-  } catch (const Error&) {
-    // Deadline tripped during placement; the original attempt's own
-    // deadline handling delivers the verdict.
-  }
-}
-
-// --- resolution (the exactly-once CAS) -------------------------------------
 
 void Fleet::book_resolution(const std::string& tenant, bool ok) {
   std::lock_guard<std::mutex> lock(tenants_mutex_);
@@ -712,138 +472,171 @@ void Fleet::book_resolution(const std::string& tenant, bool ok) {
   }
 }
 
-void Fleet::resolve_ok(const std::shared_ptr<GemmTicket>& ticket,
-                       serve::GemmResult result, bool from_hedge) {
-  if (ticket->resolved.exchange(true)) {
+template <typename Result>
+void Fleet::resolve(const TicketPtr<Result>& ticket,
+                    serve::Outcome<Result> outcome, bool from_hedge) {
+  const bool ok = outcome.ok();
+  auto book = [&] {
+    if (ok && from_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+    (ok ? resolved_ok_ : resolved_err_)
+        .fetch_add(1, std::memory_order_relaxed);
+    book_resolution(ticket->tenant, ok);
+  };
+  const bool won =
+      ok ? ticket->done.set_value(std::move(outcome.value), book)
+         : ticket->done.set_error(std::move(outcome.error), book);
+  if (won) return;
+  if (!ticket->hedged.load()) {
+    // One attempt in flight at a time without a hedge: a second settle
+    // is a lifecycle bug, not a race.
+    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
+  } else if (ok) {
     // The other half of a hedged pair got here first: this result is the
-    // cancelled loser.
+    // cancelled loser.  (A losing error is simply dropped.)
     duplicate_results_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (from_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-  resolved_ok_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/true);
-  try {
-    ticket->promise.set_value(std::move(result));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void Fleet::resolve_err(const std::shared_ptr<GemmTicket>& ticket,
-                        std::exception_ptr error) {
-  if (ticket->resolved.exchange(true)) return;  // lost to a hedge — fine
-  resolved_err_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/false);
-  try {
-    ticket->promise.set_exception(std::move(error));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
+// --- the background thread: probes and hedges ------------------------------
+
+void Fleet::background_loop() {
+  const bool probing = options_.probe_interval_ms > 0.0;
+  const bool hedging = options_.hedge_ms > 0.0;
+  // Hedge scans run four times per hedge_ms, so a hedge fires at most a
+  // quarter hedge_ms late — plus a probe round in progress, which is
+  // bounded by probe_timeout_ms (see probe_round).
+  Clock::duration tick = from_ms(hedging ? options_.hedge_ms / 4.0
+                                         : options_.probe_interval_ms);
+  if (probing) tick = std::min(tick, from_ms(options_.probe_interval_ms));
+  Clock::time_point next_probe =
+      Clock::now() + from_ms(options_.probe_interval_ms);
+  std::unique_lock<std::mutex> lock(background_mutex_);
+  while (!background_cv_.wait_for(
+      lock, tick, [this] { return admission_closed_.load(); })) {
+    lock.unlock();
+    if (hedging) scan_hedges();
+    if (probing && Clock::now() >= next_probe) {
+      probe_round();
+      next_probe = Clock::now() + from_ms(options_.probe_interval_ms);
+    }
+    lock.lock();
   }
 }
 
-void Fleet::resolve_ok(const std::shared_ptr<InferTicket>& ticket,
-                       serve::InferenceResult result) {
-  if (ticket->resolved.exchange(true)) {
-    duplicate_results_.fetch_add(1, std::memory_order_relaxed);
-    return;
+void Fleet::scan_hedges() {
+  const Clock::time_point now = Clock::now();
+  const Clock::duration hedge_after = from_ms(options_.hedge_ms);
+  std::vector<TicketPtr<serve::GemmResult>> due;
+  {
+    // Claim under the lock, submit outside it.
+    std::lock_guard<std::mutex> lock(hedge_mutex_);
+    std::erase_if(hedge_watch_, [&](const TicketPtr<serve::GemmResult>& t) {
+      if (t->done.settled()) return true;
+      const bool slow = now - t->enqueue >= hedge_after;
+      const bool near_deadline = t->deadline != Clock::time_point::max() &&
+                                 t->deadline - now <= hedge_after;
+      if (!slow && !near_deadline) return false;
+      t->hedged.store(true);
+      due.push_back(t);
+      return true;
+    });
   }
-  resolved_ok_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/true);
-  try {
-    ticket->promise.set_value(std::move(result));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
+  for (const TicketPtr<serve::GemmResult>& ticket : due) {
+    if (ticket->done.settled() || admission_closed_.load()) continue;
+    try {
+      bool overloaded_everywhere = false;
+      try_place(ticket, ticket->server.load(std::memory_order_relaxed),
+                PlaceKind::kHedge, &overloaded_everywhere);
+      // Placement failed: the original attempt is still in flight, so the
+      // ticket is NOT at risk — just unhedged (one shot per ticket keeps
+      // hedge load bounded).
+    } catch (const Error&) {
+      // Deadline tripped during placement; the original attempt's own
+      // deadline handling delivers the verdict.
+    }
   }
 }
 
-void Fleet::resolve_err(const std::shared_ptr<InferTicket>& ticket,
-                        std::exception_ptr error) {
-  if (ticket->resolved.exchange(true)) return;
-  resolved_err_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/false);
-  try {
-    ticket->promise.set_exception(std::move(error));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-// --- health probing --------------------------------------------------------
-
-void Fleet::prober_loop() {
+void Fleet::probe_round() {
   // The probe payload: a tiny cost-only GEMM any backend answers in
   // microseconds — proves admission AND a worker dispatch round-trip.
   const auto probe_b = std::make_shared<const gemm::Mat32>(2, 2);
   const gemm::Mat32 probe_a(1, 2);
-  const auto timeout =
-      std::chrono::duration<double, std::milli>(options_.probe_timeout_ms);
-  std::unique_lock<std::mutex> wait_lock(prober_mutex_);
-  while (!admission_closed_.load()) {
-    prober_cv_.wait_for(wait_lock, from_ms(options_.probe_interval_ms));
-    if (admission_closed_.load()) break;
-    for (auto& node_ptr : nodes_) {
-      Node& node = *node_ptr;
-      std::shared_ptr<serve::Server> server;
-      {
-        std::lock_guard<std::mutex> lock(node.mutex);
-        if (node.health == ServerHealth::kDead ||
-            node.health == ServerHealth::kDraining || !node.server) {
-          continue;  // explicit lifecycle states are not probe territory
-        }
-        server = node.server;
+  serve::SubmitOptions submit;
+  submit.want_output = false;
+  submit.deadline_ms = options_.probe_timeout_ms;
+  submit.admission_timeout_ms = 0.0;
+  // Every probe goes out before any is awaited, and all share one
+  // timeout: a round lasts at most probe_timeout_ms however many servers
+  // stall.  A future we time out on is simply abandoned — the server
+  // resolves it eventually (unpause / quiesce) and nobody is waiting.
+  std::vector<std::pair<Node*, std::future<serve::GemmResult>>> probes;
+  for (auto& node_ptr : nodes_) {
+    Node& node = *node_ptr;
+    std::shared_ptr<serve::Server> server;
+    {
+      std::lock_guard<std::mutex> lock(node.mutex);
+      if (node.health == ServerHealth::kDead ||
+          node.health == ServerHealth::kDraining || !node.server) {
+        continue;  // explicit lifecycle states are not probe territory
       }
-      probes_sent_.fetch_add(1, std::memory_order_relaxed);
-      bool ok = false;
-      try {
-        serve::SubmitOptions submit;
-        submit.want_output = false;
-        submit.deadline_ms = options_.probe_timeout_ms;
-        submit.admission_timeout_ms = 0.0;
-        std::future<serve::GemmResult> future =
-            server->submit_gemm("__fleet_probe__", probe_a, probe_b, submit);
-        if (future.wait_for(timeout) == std::future_status::ready) {
-          future.get();  // throws on kDeadlineExceeded etc.
-          ok = true;
-        }
-        // A future we time out on is simply abandoned: the server resolves
-        // it eventually (unpause / quiesce) and nobody is waiting.
-      } catch (...) {
-        ok = false;
-      }
-      bool flipped_down = false;
-      bool flipped_up = false;
-      {
-        std::lock_guard<std::mutex> lock(node.mutex);
-        if (node.health == ServerHealth::kDead ||
-            node.health == ServerHealth::kDraining) {
-          continue;  // lifecycle moved on while we probed
-        }
-        if (ok) {
-          node.ok_streak += 1;
-          node.fail_streak = 0;
-          if (node.health == ServerHealth::kUnhealthy &&
-              node.ok_streak >= options_.healthy_after) {
-            node.health = ServerHealth::kHealthy;
-            flipped_up = true;
-          }
-        } else {
-          node.fail_streak += 1;
-          node.ok_streak = 0;
-          node.probe_failures += 1;
-          if (node.health == ServerHealth::kHealthy &&
-              node.fail_streak >= options_.unhealthy_after) {
-            node.health = ServerHealth::kUnhealthy;
-            flipped_down = true;
-          }
-        }
-      }
-      if (!ok) probe_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (flipped_down) {
-        unhealthy_transitions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (flipped_up) recoveries_.fetch_add(1, std::memory_order_relaxed);
+      server = node.server;
     }
+    probes_sent_.fetch_add(1, std::memory_order_relaxed);
+    std::future<serve::GemmResult> future;
+    try {
+      future = server->submit_gemm("__fleet_probe__", probe_a, probe_b, submit);
+    } catch (...) {
+      // Refused at admission: an invalid future records a failure below.
+    }
+    probes.emplace_back(&node, std::move(future));
+  }
+  const Clock::time_point deadline =
+      Clock::now() + from_ms(options_.probe_timeout_ms);
+  for (auto& [node_ptr, future] : probes) {
+    Node& node = *node_ptr;
+    bool ok = false;
+    try {
+      if (future.valid() &&
+          future.wait_until(deadline) == std::future_status::ready) {
+        future.get();  // throws on kDeadlineExceeded etc.
+        ok = true;
+      }
+    } catch (...) {
+      ok = false;
+    }
+    bool flipped_down = false;
+    bool flipped_up = false;
+    {
+      std::lock_guard<std::mutex> lock(node.mutex);
+      if (node.health == ServerHealth::kDead ||
+          node.health == ServerHealth::kDraining) {
+        continue;  // lifecycle moved on while we probed
+      }
+      if (ok) {
+        node.ok_streak += 1;
+        node.fail_streak = 0;
+        if (node.health == ServerHealth::kUnhealthy &&
+            node.ok_streak >= options_.healthy_after) {
+          node.health = ServerHealth::kHealthy;
+          flipped_up = true;
+        }
+      } else {
+        node.fail_streak += 1;
+        node.ok_streak = 0;
+        node.probe_failures += 1;
+        if (node.health == ServerHealth::kHealthy &&
+            node.fail_streak >= options_.unhealthy_after) {
+          node.health = ServerHealth::kUnhealthy;
+          flipped_down = true;
+        }
+      }
+    }
+    if (!ok) probe_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (flipped_down) {
+      unhealthy_transitions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (flipped_up) recoveries_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -861,9 +654,8 @@ void Fleet::kill_server(int server) {
     node.health = ServerHealth::kDead;
     victim = node.server;  // kept for post-mortem stats(); never routed to
   }
-  // Quiesce OUTSIDE the node lock: it joins shard workers, and the
-  // collector needs the lock to pick up the kUnavailable futures this
-  // produces and fail them over.
+  // Quiesce OUTSIDE the node lock: it settles the stranded requests on
+  // this thread, and their continuations take node locks to fail over.
   if (victim) victim->quiesce();
 }
 
@@ -894,16 +686,12 @@ void Fleet::drain_server(int server, double flush_timeout_ms) {
     node.health = ServerHealth::kDraining;  // no new placements land here
     victim = node.server;
   }
-  // Flush: the server keeps serving, so its pending set drains through the
-  // collector naturally; give it the budget before quiescing the rest.
-  const Clock::time_point flush_deadline =
-      Clock::now() + from_ms(flush_timeout_ms);
-  while (Clock::now() < flush_deadline) {
-    {
-      std::lock_guard<std::mutex> lock(node.mutex);
-      if (node.pending.empty()) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Flush: the server keeps serving, so its in-flight attempts settle
+  // naturally; give them the budget before quiescing the rest.
+  {
+    std::unique_lock<std::mutex> lock(node.mutex);
+    node.idle.wait_for(lock, from_ms(flush_timeout_ms),
+                       [&node] { return node.in_flight == 0; });
   }
   // Whatever is still queued fails kUnavailable and fails over — the
   // no-loss half of a rolling restart.
@@ -923,9 +711,8 @@ void Fleet::restart_server(int server) {
   AF_CHECK(node.health == ServerHealth::kDead,
            "restart_server(" << server << ") on a " << to_string(node.health)
                              << " server; kill or drain it first");
-  // The old server's promises were all resolved by quiesce, so dropping
-  // the last shared_ptr here destroys it safely; any of its futures still
-  // in `pending` stay valid (futures outlive their promise).
+  // The old server's requests were all settled by quiesce, so dropping
+  // the last shared_ptr here destroys it safely.
   node.server = std::make_shared<serve::Server>(
       specs_[static_cast<std::size_t>(server)].config,
       specs_[static_cast<std::size_t>(server)].options);

@@ -2,10 +2,12 @@
 //
 //   clients ──submit──▶ Fleet ──place──▶ serve::Server[0..N)   (possibly
 //                        │ (Router: "affinity" | "hash" | "p2c")  heterogeneous)
-//                        ├─ prober thread: tiny cost-only probes per server;
-//                        │  fail/ok streaks drive healthy <-> unhealthy
-//                        ├─ per-server collector thread: waits the server
-//                        │  futures, resolves tickets, fails over, hedges
+//                        ├─ server continuations: each attempt's outcome
+//                        │  resolves its ticket, or fails it over, on the
+//                        │  thread that settled it (no fleet thread)
+//                        ├─ background thread (only when probing or
+//                        │  hedging): tiny cost-only probes drive healthy
+//                        │  <-> unhealthy; slow tickets get a hedge
 //                        └─ failpoints: kill_server (crash), stall_server,
 //                           drain_server (rolling restart), restart_server
 //
@@ -17,8 +19,9 @@
 //
 //   * The ticket owns copies of the operands, so it can be re-submitted to
 //     any server at any time.
-//   * Resolution is a single atomic CAS on the ticket: whichever server
-//     future lands first (original, failover re-admit, or hedge duplicate)
+//   * Resolution is the ticket's settle-once serve::Completion: each
+//     attempt is submitted with a continuation, and whichever attempt
+//     settles first (original, failover re-admit, or hedge duplicate)
 //     wins; the losers are counted (FleetStats::duplicate_results) and
 //     dropped.  FleetStats::resolve_double_sets stays 0 by construction.
 //   * Failover rides serve::Server::quiesce()'s guarantee: a request
@@ -26,12 +29,17 @@
 //     survivor cannot double-serve.  kEngineFault after the server's own
 //     retry budget and kShutdown races are equally safe — no result was
 //     delivered.  Deadline and failover budgets travel with the ticket.
+//     The re-placement runs inside the failed attempt's continuation; when
+//     every survivor is overloaded it backs off block_retry_ms per try, so
+//     it may sleep the settling thread for at most max_failovers x
+//     block_retry_ms in total.
 //   * Hedging (hedge_ms > 0): when a ticket has been pending longer than
 //     hedge_ms and is still unresolved — e.g. stuck behind a stalled
-//     server — the collector submits a duplicate to a DIFFERENT server.
-//     First result wins; the loser is cancelled by the CAS and counted.
+//     server — the background thread submits a duplicate to a DIFFERENT
+//     server.  First result wins; the loser is dropped by the completion
+//     and counted.
 //
-// Health: a prober thread runs tiny cost-only GEMMs against every
+// Health: the background thread runs tiny cost-only GEMMs against every
 // routable server each probe_interval_ms; unhealthy_after consecutive
 // probe failures (timeout or error) mark the server unhealthy — pulled
 // from routing while its in-flight work continues — and healthy_after
@@ -49,7 +57,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -77,8 +85,9 @@ struct FleetOptions {
   std::string router = "affinity";
   RouterOptions router_options;
 
-  // Health probing.  probe_interval_ms <= 0 disables the prober thread
-  // entirely (health then only changes via kill/drain/restart).
+  // Health probing.  probe_interval_ms <= 0 disables probing (health then
+  // only changes via kill/drain/restart); with hedging off too, the fleet
+  // runs no thread of its own.
   double probe_interval_ms = 0.0;
   // Wall-clock budget of one probe; a probe that neither completes nor
   // fails within this window counts as a failure (how a stalled server is
@@ -138,7 +147,9 @@ struct FleetStats {
   std::int64_t probe_failures = 0;
   std::int64_t unhealthy_transitions = 0;  // healthy -> unhealthy flips
   std::int64_t recoveries = 0;             // unhealthy -> healthy flips
-  // Tickets resolved more than once — a broken-contract bug; == 0 always.
+  // Second settles of a ticket that never had two attempts in flight (only
+  // a hedged ticket may legitimately race) — a broken-contract bug; == 0
+  // always.
   std::int64_t resolve_double_sets = 0;
   std::vector<FleetServerSummary> servers;
   std::map<std::string, TenantBook> tenants;
@@ -186,7 +197,7 @@ class Fleet {
   void stall_server(int server, bool stalled = true);
   // Graceful no-loss drain for a rolling restart: the slot stops taking
   // new placements (kDraining), waits up to flush_timeout_ms for its
-  // pending tickets to resolve, then quiesces the remainder (which fail
+  // in-flight attempts to settle, then quiesces the remainder (which fail
   // over) and marks the slot kDead.
   void drain_server(int server, double flush_timeout_ms = 1e3);
   // Rebuilds a kDead slot's server from its spec and marks it healthy —
@@ -199,15 +210,20 @@ class Fleet {
 
   FleetStats stats() const;
 
-  // Closes admission, shuts every live server down gracefully (their
-  // queues drain), collects every outstanding ticket, joins all fleet
-  // threads.  Idempotent; the destructor calls it.
+  // Closes admission, joins the background thread, shuts every server
+  // down gracefully: their queues drain and the continuations resolve
+  // every outstanding ticket before this returns.  Idempotent; the
+  // destructor calls it.
   void shutdown();
 
  private:
-  struct GemmTicket;
-  struct InferTicket;
-  struct Pending;
+  // Ticket<serve::GemmResult> or Ticket<serve::InferenceResult>: every
+  // placement, failover and resolution step below is one template over
+  // the two, with the GEMM-only steps (degrade, hedge) under if constexpr.
+  template <typename Result>
+  struct Ticket;
+  template <typename Result>
+  using TicketPtr = std::shared_ptr<Ticket<Result>>;
   struct Node;
 
   // Snapshot of the loads the router places over.  `exclude` (>= 0) is
@@ -215,58 +231,53 @@ class Fleet {
   // died".
   std::vector<ServerLoad> snapshot_loads(int exclude = -1) const;
 
-  // Why a placement attempt was made.  Threaded down to submit_to so the
-  // matching stat (failovers_, hedges_) is bumped BEFORE the pending
-  // entry is published: once published, another collector can resolve the
-  // ticket and wake a stats() reader who must already see the counter.
+  // Why a placement attempt was made (picks the stat submit_to bumps).
   enum class PlaceKind { kInitial, kFailover, kHedge };
 
-  // Places and submits one GEMM attempt: router choice first, then every
+  // Books a new ticket and runs the placement loop under the fleet
+  // overload policy; unwinds the books and throws when nothing admitted it.
+  template <typename Result>
+  std::future<Result> place_new(const TicketPtr<Result>& ticket);
+
+  // Places and submits one attempt: router choice first, then every
   // other routable server if the choice rejects with kOverloaded.
   // Returns the slot it landed on, or -1 with `overloaded_everywhere`
   // set when every routable server rejected (nothing submitted), or -1
   // with it clear when nothing was routable at all.
-  int try_place_gemm(const std::shared_ptr<GemmTicket>& ticket, int exclude,
-                     PlaceKind kind, bool* overloaded_everywhere);
-  int try_place_infer(const std::shared_ptr<InferTicket>& ticket, int exclude,
-                      PlaceKind kind, bool* overloaded_everywhere);
+  template <typename Result>
+  int try_place(const TicketPtr<Result>& ticket, int exclude, PlaceKind kind,
+                bool* overloaded_everywhere);
 
-  // Submits the ticket to `server` and enqueues the pending entry on that
-  // node's collector.  Throws what the server's submit throws.
-  void submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
-                 PlaceKind kind);
-  void submit_to(int server, const std::shared_ptr<InferTicket>& ticket,
-                 PlaceKind kind);
+  // Submits one attempt to `server` with the continuation that settles
+  // it.  Throws what the server's submit throws.
+  template <typename Result>
+  void submit_to(int server, const TicketPtr<Result>& ticket, PlaceKind kind);
 
-  // One node's collector loop: polls pending futures, resolves tickets
-  // (CAS), fails over never-executed work, issues hedges.
-  void collector_loop(Node& node);
-  void handle_gemm_ready(Node& node, Pending& entry);
-  void handle_infer_ready(Node& node, Pending& entry);
+  // The server continuation: resolves the ticket with the attempt's
+  // outcome, or fails a never-executed attempt over to a survivor.
+  template <typename Result>
+  void on_settled(const TicketPtr<Result>& ticket, int server, bool hedge,
+                  serve::Outcome<Result> outcome);
   // Re-places a never-executed ticket on a survivor; resolves the ticket
   // with `error` when budget/deadline/routability forbid it.
-  void failover_gemm(const std::shared_ptr<GemmTicket>& ticket, int from,
-                     std::exception_ptr error);
-  void failover_infer(const std::shared_ptr<InferTicket>& ticket, int from,
-                      std::exception_ptr error);
-  // Submits the hedge duplicate of a slow ticket to a server != `from`
-  // (the collector's hedge scan already claimed ticket->hedged).
-  void issue_hedge(const std::shared_ptr<GemmTicket>& ticket, int from);
+  template <typename Result>
+  void failover(const TicketPtr<Result>& ticket, int from,
+                std::exception_ptr error);
+  // Settles the ticket (first settle wins; the winner books fleet and
+  // tenant stats before the client's future wakes).
+  template <typename Result>
+  void resolve(const TicketPtr<Result>& ticket, serve::Outcome<Result> outcome,
+               bool from_hedge);
+  // One attempt on `node` is over (settled, or its submit threw).
+  void end_attempt(Node& node, bool unplace);
 
-  void prober_loop();
+  // The fleet's one thread: probe rounds and hedge scans.
+  void background_loop();
+  void probe_round();
+  void scan_hedges();
   // True when the error held by `eptr` means the request was never
   // executed and no result was delivered — safe to re-admit elsewhere.
   static bool failover_safe(const std::exception_ptr& eptr);
-
-  // Ticket resolution (the CAS).  Winner updates fleet + tenant books.
-  void resolve_ok(const std::shared_ptr<GemmTicket>& ticket,
-                  serve::GemmResult result, bool from_hedge);
-  void resolve_err(const std::shared_ptr<GemmTicket>& ticket,
-                   std::exception_ptr error);
-  void resolve_ok(const std::shared_ptr<InferTicket>& ticket,
-                  serve::InferenceResult result);
-  void resolve_err(const std::shared_ptr<InferTicket>& ticket,
-                   std::exception_ptr error);
   void book_resolution(const std::string& tenant, bool ok);
 
   std::vector<FleetServerSpec> specs_;
@@ -275,11 +286,13 @@ class Fleet {
   std::unique_ptr<Router> router_;
   mutable std::mutex router_mutex_;  // Router::place is not thread-safe
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::thread prober_;
-  std::mutex prober_mutex_;
-  std::condition_variable prober_cv_;
+  std::thread background_;
+  std::mutex background_mutex_;
+  std::condition_variable background_cv_;
+  // Placed GEMM tickets not yet resolved or hedged (hedge_ms > 0 only).
+  std::mutex hedge_mutex_;
+  std::vector<TicketPtr<serve::GemmResult>> hedge_watch_;
 
-  std::atomic<std::uint64_t> next_ticket_{0};
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> resolved_ok_{0};
   std::atomic<std::int64_t> resolved_err_{0};

@@ -1,22 +1,26 @@
 // Pooled completion slots for the batched cost-serving path.
 //
-// The legacy submit_gemm hands every request a std::promise/std::future
-// pair: one heap-allocated shared state per request, destroyed after a
-// single use.  At millions of cost queries per second that allocator
-// traffic IS the hot path.  The batched API replaces it with a BatchSlot —
-// one completion slot per submit_gemm_batch call, carrying the WHOLE
-// batch's shapes in and its CostEstimates out — recycled through a SlotPool
-// freelist so the shape/result vectors keep their capacity across
-// submissions and the steady state allocates nothing.
+// A future-path submit_gemm settles through a Completion (serve/
+// completion.h) whose std::promise owns one heap-allocated shared state
+// per request, destroyed after a single use.  At millions of cost queries
+// per second that allocator traffic IS the hot path.  The batched API
+// replaces it with a BatchSlot — one completion slot per submit_gemm_batch
+// call, carrying the WHOLE batch's shapes in and its CostEstimates out —
+// recycled through a SlotPool freelist so the shape/result vectors keep
+// their capacity across submissions and the steady state allocates
+// nothing.  That recycling is why BatchSlot stays its own type instead of
+// a Completion: pooling needs a slot that can be reset() for the next
+// submission, and a std::promise, once satisfied, cannot be.
 //
 // Lifecycle (and why reuse is safe):
 //   1. submit_gemm_batch acquires a slot from the pool, fills shapes(),
 //      and enqueues ONE Request holding a shared_ptr to it.  The client
 //      gets a BatchTicket holding the other reference.
 //   2. The shard worker answers via complete() (or fail()) exactly once —
-//      guarded like the legacy promise: a second settle is counted in
-//      ServerStats::promise_double_sets and fatal in debug builds.  After
-//      settling, the worker never touches the slot again.
+//      the same first-settle-wins guard as Completion: a second settle
+//      returns false, is counted in ServerStats::promise_double_sets and
+//      is fatal in debug builds.  After settling, the worker never touches
+//      the slot again.
 //   3. BatchTicket::get() blocks on the settle, moves the results out (or
 //      rethrows), and returns the slot to the pool.  Since get() cannot
 //      return before the settle, and the settle is the worker's LAST
@@ -60,8 +64,8 @@ class BatchSlot {
   }
 
   // Worker-side delivery.  Returns false when the slot was already settled
-  // (the double-complete bug the legacy promise guard catches) — the
-  // caller counts it and must not touch the slot again.
+  // (the double-complete bug) — the caller counts it and must not touch
+  // the slot again.
   bool complete(std::vector<engine::CostEstimate> results) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

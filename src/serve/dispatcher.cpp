@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -130,8 +129,7 @@ class StealingDispatcher final : public Dispatcher {
       : max_batch_(options.max_batch),
         max_batch_bytes_(options.max_batch_bytes),
         live_(options.live_shards),
-        rng_state_(options.steal_seed),
-        failpoint_(options.failpoint) {
+        rng_state_(options.steal_seed) {
     AF_CHECK(options.max_shards >= 1, "stealing dispatcher needs a slot");
     AF_CHECK(options.live_shards >= 1 &&
                  options.live_shards <= options.max_shards,
@@ -160,7 +158,6 @@ class StealingDispatcher final : public Dispatcher {
 
   SubmitResult submit_for(Request& r,
                           std::chrono::microseconds timeout) override {
-    if (failpoint_) failpoint_("submit");
     const int home = route(r);
     // No dispatcher-level wakeup state: the home queue's own condvar wakes
     // exactly its parked worker (see next_batch), so a submit touches
@@ -238,7 +235,6 @@ class StealingDispatcher final : public Dispatcher {
             const std::optional<int> head_mode = queues_[victim]->peek_mode();
             if (!head_mode || *head_mode != my_mode) continue;
           }
-          if (failpoint_) failpoint_("steal");
           if (std::optional<Request> head = queues_[victim]->try_pop()) {
             steals_.fetch_add(1, std::memory_order_relaxed);
             // Riders come from the VICTIM's deque: the stolen unit is the
@@ -280,7 +276,6 @@ class StealingDispatcher final : public Dispatcher {
     // deques notice shard >= live at the next idle-wait tick.)
     for (int s = live; s < old; ++s) {
       for (Request& r : queues_[static_cast<std::size_t>(s)]->drain_all()) {
-        if (failpoint_) failpoint_("drain");
         submit(std::move(r));
       }
     }
@@ -303,7 +298,6 @@ class StealingDispatcher final : public Dispatcher {
     // the steal scan covers every slot, banned included, so it is served.
     for (Request& r :
          queues_[static_cast<std::size_t>(shard)]->drain_all()) {
-      if (failpoint_) failpoint_("drain");
       submit(std::move(r));
     }
   }
@@ -452,7 +446,6 @@ class StealingDispatcher final : public Dispatcher {
   // first published by the executor) — the locality-aware steal scan's
   // preference signal.
   std::unique_ptr<std::atomic<int>[]> modes_;
-  const std::function<void(const char*)> failpoint_;
   // Per-shard dispatch counters driving the periodic retired-slot probe —
   // one cache line each, touched only by that shard's worker, so the hot
   // path shares nothing across shards (the dispatcher's whole point).

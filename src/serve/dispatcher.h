@@ -50,7 +50,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,12 +89,6 @@ struct DispatcherOptions {
   bool can_scale = true;
   // Seed of the stealing dispatcher's victim randomization.
   std::uint64_t steal_seed = 0x517cc1b727220a95ULL;
-  // Test-only failpoint hook: when set, the stealing dispatcher invokes it
-  // at named race-prone sites ("submit" before routing a request, "steal"
-  // after choosing a victim, "drain" per request while a retiring or
-  // banned deque is rehomed) so fault-injection tests can widen race
-  // windows with targeted sleeps.  Null (the default) costs one branch.
-  std::function<void(const char* site)> failpoint;
 };
 
 // Outcome of a timed submit_for: routed and queued, still full after the

@@ -2,18 +2,20 @@
 //
 // Clients hand the serve::Server either a raw GEMM (activations against a
 // shared weight matrix) or a whole nn::Model inference, tagged with a
-// tenant id; they get a std::future back.  Internally every submission
-// becomes one or more Request records flowing through the bounded
-// RequestQueue to the shard workers.  A model inference is split into one
-// kInferSlice request per shard (contiguous layer ranges), joined back into
-// a single ModelReport by the shared InferJoin when the last slice lands —
-// this is how one model is sharded across several simulated arrays.
+// tenant id; they get a std::future back, or name a continuation the
+// settling worker runs instead.  Either way the outcome travels in one
+// settle-once Completion (serve/completion.h) carried by the request.
+// Internally every submission becomes one or more Request records flowing
+// through the bounded RequestQueue to the shard workers.  A model
+// inference is split into one kInferSlice request per shard (contiguous
+// layer ranges), joined back into a single ModelReport by the shared
+// InferJoin when the last slice lands — this is how one model is sharded
+// across several simulated arrays.
 
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +25,7 @@
 #include "gemm/reference.h"
 #include "nn/models.h"
 #include "nn/runner.h"
+#include "serve/completion.h"
 
 namespace af::serve {
 
@@ -70,7 +73,7 @@ struct InferenceResult {
 
 // Join state shared by the slice requests of one sharded inference.  The
 // shard completing the final slice assembles the full report (slices are
-// concatenated in layer order; totals are sums) and fulfills the promise.
+// concatenated in layer order; totals are sums) and settles the completion.
 struct InferJoin {
   std::mutex mutex;
   std::vector<nn::ModelReport> parts;  // indexed by slice position
@@ -81,16 +84,16 @@ struct InferJoin {
   // of them), so per-tenant books sum to what the shards actually spent.
   double energy_pj = 0.0;
   double sim_time_ps = 0.0;
-  // Set once a slice execution failed and the promise carries the
+  // Set once a slice execution failed and the completion carries the
   // exception; later slices of this join become no-ops.
   bool failed = false;
-  std::promise<InferenceResult> promise;
+  Completion<InferenceResult> promise;
   Clock::time_point enqueue_time;
   std::string tenant;
   std::string model_name;
 };
 
-// One unit of queued work.  Move-only (it carries the client's promise).
+// One unit of queued work.  Move-only (it carries the client's completion).
 struct Request {
   RequestKind kind = RequestKind::kGemm;
   std::uint64_t id = 0;
@@ -154,7 +157,7 @@ struct Request {
   // computing the product entirely (the analytic backend answers from
   // closed forms alone), and GemmResult::out comes back empty.
   bool want_output = true;
-  std::promise<GemmResult> gemm_promise;
+  Completion<GemmResult> gemm_promise;
 
   // --- kInferSlice ---------------------------------------------------------
   std::shared_ptr<const nn::Model> model;

@@ -388,30 +388,35 @@ void Server::shutdown() {
 }
 
 void Server::quiesce() {
-  std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  // Ordered BEFORE the shut_down_ flip that wakes parked workers: any
-  // worker released from the stall nap sees quiescing_ and exits without
-  // calling next_batch, so it cannot race the strand below by grabbing
-  // queued work on the way down.
-  quiescing_.store(true, std::memory_order_release);
-  if (shut_down_.exchange(true)) return;  // shutdown/quiesce already ran
+  std::vector<Request> stranded;
   {
-    std::lock_guard<std::mutex> lock(scale_mutex_);
-  }
-  scale_cv_.notify_all();
-  if (autoscaler_.joinable()) autoscaler_.join();
-  dispatcher_->close();
-  // In-flight batches finish and deliver normally; workers blocked in
-  // next_batch wake on close() and exit at the quiescing_ check.  Joining
-  // them FIRST means drain_remaining below sees the queue's final state —
-  // no worker can pop concurrently with the strand.
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
+    std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
+    // Ordered BEFORE the shut_down_ flip that wakes parked workers: any
+    // worker released from the stall nap sees quiescing_ and exits without
+    // calling next_batch, so it cannot race the strand below by grabbing
+    // queued work on the way down.
+    quiescing_.store(true, std::memory_order_release);
+    if (shut_down_.exchange(true)) return;  // shutdown/quiesce already ran
+    {
+      std::lock_guard<std::mutex> lock(scale_mutex_);
+    }
+    scale_cv_.notify_all();
+    if (autoscaler_.joinable()) autoscaler_.join();
+    dispatcher_->close();
+    // In-flight batches finish and deliver normally; workers blocked in
+    // next_batch wake on close() and exit at the quiescing_ check.  Joining
+    // them FIRST means drain_remaining below sees the queue's final state —
+    // no worker can pop concurrently with the strand.
+    for (auto& shard : shards_) {
+      if (shard->worker.joinable()) shard->worker.join();
+    }
+    stranded = dispatcher_->drain_remaining();
   }
   // The crash semantics: everything still QUEUED is handed back with
   // kUnavailable instead of being served — these requests never touched an
   // engine, so a fleet re-admitting them elsewhere cannot double-serve.
-  std::vector<Request> stranded = dispatcher_->drain_remaining();
+  // Settled after the shutdown lock is released: their continuations may
+  // call back into this server.
   if (!stranded.empty()) {
     unserved_.fetch_add(static_cast<std::int64_t>(stranded.size()));
     fail_requests(stranded,
@@ -568,6 +573,21 @@ std::future<GemmResult> Server::submit_gemm(
 std::future<GemmResult> Server::submit_gemm(
     const std::string& tenant, gemm::Mat32 a,
     std::shared_ptr<const gemm::Mat32> b, const SubmitOptions& submit) {
+  return enqueue_gemm(tenant, std::move(a), std::move(b), submit, nullptr);
+}
+
+void Server::submit_gemm(const std::string& tenant, gemm::Mat32 a,
+                         std::shared_ptr<const gemm::Mat32> b,
+                         const SubmitOptions& submit,
+                         Completion<GemmResult>::Continuation then) {
+  AF_CHECK(then != nullptr, "submit_gemm needs a continuation");
+  enqueue_gemm(tenant, std::move(a), std::move(b), submit, std::move(then));
+}
+
+std::future<GemmResult> Server::enqueue_gemm(
+    const std::string& tenant, gemm::Mat32 a,
+    std::shared_ptr<const gemm::Mat32> b, const SubmitOptions& submit,
+    Completion<GemmResult>::Continuation then) {
   if (shut_down_.load()) {
     throw Error("submit_gemm on a shut-down server", ErrorCode::kShutdown);
   }
@@ -660,13 +680,18 @@ std::future<GemmResult> Server::submit_gemm(
                      std::chrono::duration<double, std::milli>(
                          submit.deadline_ms));
   }
-  std::future<GemmResult> future = r.gemm_promise.get_future();
+  std::future<GemmResult> future;
+  if (then) {
+    r.gemm_promise.then(std::move(then));
+  } else {
+    future = r.gemm_promise.get_future();
+  }
   // Counted before the push: a fast worker may complete the request before
   // this thread runs another instruction, and stats() must never show
   // completed > submitted.
   submitted_.fetch_add(1);
-  // submit_for moves from r only on acceptance, so the promise stays with
-  // this frame (and dies with it, never double-resolved) on rejection.
+  // submit_for moves from r only on acceptance, so the completion stays
+  // with this frame (and dies with it, never settled) on rejection.
   switch (dispatcher_->submit_for(
       r, admission_timeout(submit.admission_timeout_ms))) {
     case SubmitResult::kAccepted:
@@ -777,6 +802,21 @@ std::future<InferenceResult> Server::submit_inference(
 std::future<InferenceResult> Server::submit_inference(
     const std::string& tenant, std::shared_ptr<const nn::Model> model,
     const SubmitOptions& submit) {
+  return enqueue_inference(tenant, std::move(model), submit, nullptr);
+}
+
+void Server::submit_inference(const std::string& tenant,
+                              std::shared_ptr<const nn::Model> model,
+                              const SubmitOptions& submit,
+                              Completion<InferenceResult>::Continuation then) {
+  AF_CHECK(then != nullptr, "submit_inference needs a continuation");
+  enqueue_inference(tenant, std::move(model), submit, std::move(then));
+}
+
+std::future<InferenceResult> Server::enqueue_inference(
+    const std::string& tenant, std::shared_ptr<const nn::Model> model,
+    const SubmitOptions& submit,
+    Completion<InferenceResult>::Continuation then) {
   if (shut_down_.load()) {
     throw Error("submit_inference on a shut-down server",
                 ErrorCode::kShutdown);
@@ -802,7 +842,12 @@ std::future<InferenceResult> Server::submit_inference(
   join->enqueue_time = Clock::now();
   join->tenant = tenant;
   join->model_name = model->name;
-  std::future<InferenceResult> future = join->promise.get_future();
+  std::future<InferenceResult> future;
+  if (then) {
+    join->promise.then(std::move(then));
+  } else {
+    future = join->promise.get_future();
+  }
 
   // Contiguous slices, sizes as even as possible (the first `layers %
   // slices` slices take one extra layer).
@@ -875,7 +920,7 @@ void Server::shard_loop(Shard& shard) {
     // It still exits promptly when retired by the autoscaler (so
     // shrink_to's join cannot deadlock on a sick shard), and falls
     // through to next_batch at shutdown so the final drain resolves every
-    // remaining promise — with a typed error if the engine is still sick.
+    // remaining request — with a typed error if the engine is still sick.
     while (shard.quarantined.load(std::memory_order_acquire) &&
            !shut_down_.load()) {
       if (shard.index >= live_shards_.load()) return;
@@ -908,27 +953,26 @@ void Server::fail_batch(Batch& batch, std::exception_ptr error) {
   fail_requests(batch.requests, error, code_of(error));
 }
 
+void Server::note_double_settle([[maybe_unused]] const Request& r) {
+  // A completion that was already settled means this request was served
+  // (or failed) twice — the exact lifecycle bug this layer exists to rule
+  // out.  Counted so release builds surface it in stats().
+  promise_double_sets_.fetch_add(1);
+  AF_ASSERT(false, "request " << r.id << " settled twice");
+}
+
 void Server::fail_requests(std::vector<Request>& requests,
                            std::exception_ptr error, ErrorCode code) {
   for (Request& r : requests) {
-    if (r.kind == RequestKind::kGemm) {
-      // All accounting lands before the promise resolves, so a client that
-      // wakes on the error and immediately calls stats() sees the books
-      // already balanced (the same ordering execute_gemm_batch keeps).
+    // All accounting lands before the outcome is delivered, so a client
+    // that wakes on the error and immediately calls stats() sees the books
+    // already balanced (the same ordering execute_gemm_batch keeps).
+    auto book = [&] {
       tenants_.record_error(r.tenant, code);
       completed_.fetch_add(1);
-      try {
-        r.gemm_promise.set_exception(error);
-      } catch (const std::future_error&) {
-        // A promise that already held a value or error means this request
-        // was served (or failed) twice — the exact lifecycle bug this
-        // layer exists to rule out.  Counted so release builds surface it
-        // in stats(); fatal in debug builds.
-        completed_.fetch_sub(1);
-        promise_double_sets_.fetch_add(1);
-        AF_ASSERT(false, "GEMM promise settled twice (request " << r.id
-                                                                << ")");
-      }
+    };
+    if (r.kind == RequestKind::kGemm) {
+      if (!r.gemm_promise.set_error(error, book)) note_double_settle(r);
     } else if (r.kind == RequestKind::kGemmBatch) {
       // One slot failure settles every shape in the batch; the books move
       // by the batch size (each shape was counted at submission).
@@ -937,9 +981,7 @@ void Server::fail_requests(std::vector<Request>& requests,
       completed_.fetch_add(count);
       if (!r.slot->fail(error)) {
         completed_.fetch_sub(count);
-        promise_double_sets_.fetch_add(1);
-        AF_ASSERT(false,
-                  "batch slot settled twice (request " << r.id << ")");
+        note_double_settle(r);
       }
     } else if (r.join != nullptr) {
       {
@@ -947,16 +989,7 @@ void Server::fail_requests(std::vector<Request>& requests,
         if (r.join->failed) continue;  // another slice already reported
         r.join->failed = true;
       }
-      tenants_.record_error(r.tenant, code);
-      completed_.fetch_add(1);
-      try {
-        r.join->promise.set_exception(error);
-      } catch (const std::future_error&) {
-        completed_.fetch_sub(1);
-        promise_double_sets_.fetch_add(1);
-        AF_ASSERT(false, "inference promise settled twice (request "
-                             << r.id << ")");
-      }
+      if (!r.join->promise.set_error(error, book)) note_double_settle(r);
     }
   }
 }
@@ -1314,7 +1347,7 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
   }
 
   {
-    // All accounting lands before any client future resolves, so a client
+    // All accounting lands before any outcome is delivered, so a client
     // that waits on its result always sees the books already balanced.
     std::lock_guard<std::mutex> lock(shard_stats_mutex_);
     shard.stats.batches += 1;
@@ -1342,11 +1375,16 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
     const double time_share =
         result.time_ps * static_cast<double>(r.shape.t) /
         static_cast<double>(result.fused_rows);
-    tenants_.record(r.tenant, /*is_inference=*/false, result.latency_ms,
-                    result.queue_ms, result.energy_pj, time_share,
-                    r.shape.t * r.shape.n * r.shape.m);
-    completed_.fetch_add(1);
-    r.gemm_promise.set_value(std::move(result));
+    const double latency_ms = result.latency_ms;
+    const double queue_ms = result.queue_ms;
+    const double energy_pj = result.energy_pj;
+    const bool won = r.gemm_promise.set_value(std::move(result), [&] {
+      tenants_.record(r.tenant, /*is_inference=*/false, latency_ms, queue_ms,
+                      energy_pj, time_share,
+                      r.shape.t * r.shape.n * r.shape.m);
+      completed_.fetch_add(1);
+    });
+    if (!won) note_double_settle(r);
   }
 }
 
@@ -1382,8 +1420,7 @@ void Server::execute_cost_batch(Shard& shard, Batch& batch) {
     completed_.fetch_add(count);
     if (!slot.complete(std::move(results))) {
       completed_.fetch_sub(count);
-      promise_double_sets_.fetch_add(1);
-      AF_ASSERT(false, "batch slot settled twice (request " << r.id << ")");
+      note_double_settle(r);
     }
   }
 
@@ -1467,12 +1504,15 @@ void Server::execute_infer_batch(Shard& shard, Batch& batch) {
       InferenceResult result;
       result.num_slices = static_cast<int>(join->parts.size());
       result.latency_ms = ms_between(join->enqueue_time, Clock::now());
-      tenants_.record(join->tenant, /*is_inference=*/true, result.latency_ms,
-                      queue_ms, energy_pj, sim_time_ps,
-                      r.model->total_macs());
-      completed_.fetch_add(1);
       result.report = std::move(assembled);
-      join->promise.set_value(std::move(result));
+      const double latency_ms = result.latency_ms;
+      const bool won = join->promise.set_value(std::move(result), [&] {
+        tenants_.record(join->tenant, /*is_inference=*/true, latency_ms,
+                        queue_ms, energy_pj, sim_time_ps,
+                        r.model->total_macs());
+        completed_.fetch_add(1);
+      });
+      if (!won) note_double_settle(r);
     }
   }
 }

@@ -15,9 +15,11 @@
 // switching a shard between modes drains the array, so the dispatcher
 // batches same-mode work and the shard accounts every reconfiguration).
 // Client threads submit GEMMs (activations against shared stationary
-// weights) or whole nn::Model inferences and block on the returned future;
-// a model inference is split into contiguous layer slices and joined back
-// into a report bit-identical to a direct InferenceRunner::run.
+// weights) or whole nn::Model inferences and block on the returned future
+// — or hand over a continuation the settling thread runs instead (see
+// serve/completion.h); a model inference is split into contiguous layer
+// slices and joined back into a report bit-identical to a direct
+// InferenceRunner::run.
 //
 // Dispatch: ServerOptions::dispatcher selects the control-plane topology —
 // "global" (one DRR queue, every submit and pop through one lock) or
@@ -463,6 +465,16 @@ class Server {
                                       std::shared_ptr<const gemm::Mat32> b,
                                       const SubmitOptions& submit);
 
+  // Continuation form, which the future forms wrap: `then` receives the
+  // outcome — the result or the typed error — exactly once, on whichever
+  // thread settles the request, provided this call returns; a refused
+  // submission throws (as above) and never runs it.  The settling thread
+  // holds no server lock, so `then` may call stats() or submit again.
+  void submit_gemm(const std::string& tenant, gemm::Mat32 a,
+                   std::shared_ptr<const gemm::Mat32> b,
+                   const SubmitOptions& submit,
+                   Completion<GemmResult>::Continuation then);
+
   // Batched cost queries: prices every shape in one call — one admission
   // check, one queue hop, one pooled completion slot for the whole batch —
   // and the shard answers through Engine::evaluate_batch (vectorized
@@ -497,6 +509,12 @@ class Server {
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const SubmitOptions& submit);
 
+  // Continuation form (same contract as submit_gemm's).
+  void submit_inference(const std::string& tenant,
+                        std::shared_ptr<const nn::Model> model,
+                        const SubmitOptions& submit,
+                        Completion<InferenceResult>::Continuation then);
+
   // The windowed overload signal as of the last control tick (always false
   // under the "block" policy with autoscaling off — no control thread).
   bool overloaded() const { return overloaded_.load(); }
@@ -529,10 +547,13 @@ class Server {
   // still queued with af::Error(kUnavailable) instead of serving it —
   // ServerStats::unserved counts them.  In-flight batches still finish and
   // deliver (a real process death would lose them; in-process we keep the
-  // stronger contract that every accepted promise resolves).  The crucial
+  // stronger contract that every accepted request resolves).  The crucial
   // guarantee for the fleet layer: a kUnavailable request was NEVER
   // executed, so re-admitting it on another server cannot double-serve.
-  // Idempotent; safe concurrently with shutdown().
+  // The stranded requests settle on the calling thread after every server
+  // lock is released (their continuations may re-enter the server), so a
+  // concurrent shutdown() can return before they have.  Idempotent; safe
+  // concurrently with shutdown().
   void quiesce();
 
   // Simulated STALL failpoint: while paused, shard workers stop picking up
@@ -549,6 +570,18 @@ class Server {
  private:
   struct Shard;
 
+  // The submit cores behind both public forms: the request's completion
+  // is armed with `then`, or — when `then` is empty — with the returned
+  // future.
+  std::future<GemmResult> enqueue_gemm(
+      const std::string& tenant, gemm::Mat32 a,
+      std::shared_ptr<const gemm::Mat32> b, const SubmitOptions& submit,
+      Completion<GemmResult>::Continuation then);
+  std::future<InferenceResult> enqueue_inference(
+      const std::string& tenant, std::shared_ptr<const nn::Model> model,
+      const SubmitOptions& submit,
+      Completion<InferenceResult>::Continuation then);
+
   void shard_loop(Shard& shard);
   void execute_gemm_batch(Shard& shard, Batch& batch);
   void execute_infer_batch(Shard& shard, Batch& batch);
@@ -557,16 +590,18 @@ class Server {
   // Never touches the array configuration (no prepare_mode, no drain) —
   // planning traffic must not stall execution.
   void execute_cost_batch(Shard& shard, Batch& batch);
-  // Delivers `error` to every still-pending client of the batch (promise
-  // set_exception; inference joins are marked failed so sibling slices
-  // stand down) — a bad request fails its own futures, not the server.
+  // Delivers `error` to every still-pending client of the batch
+  // (inference joins are marked failed so sibling slices stand down) — a
+  // bad request fails its own completion, not the server.
   void fail_batch(Batch& batch, std::exception_ptr error);
-  // Core failure delivery: fails each request's promise with `error`,
-  // counts completions and per-tenant errors under `code`.  A promise that
-  // was already satisfied is a double-set bug: counted in
-  // ServerStats::promise_double_sets and fatal in debug builds.
+  // Core failure delivery: settles each request's completion with `error`,
+  // counting completions and per-tenant errors under `code`.
   void fail_requests(std::vector<Request>& requests, std::exception_ptr error,
                      ErrorCode code);
+  // Every settle goes through a first-settle-wins guard; a losing settle
+  // is a double-set bug: counted in ServerStats::promise_double_sets and
+  // fatal in debug builds.
+  void note_double_settle(const Request& r);
   // Shard-side reaper half: fails batch.expired (reaped while queued) and
   // any rider that went overdue between assembly and now.
   void resolve_expired(Batch& batch);

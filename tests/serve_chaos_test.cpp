@@ -7,12 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,33 +278,26 @@ TEST(OverloadPolicyTest, RegistryNamesParseAndDescribe) {
   EXPECT_THROW(parse_overload_policy("shed"), Error);
 }
 
-// ---- dispatcher failpoints ------------------------------------------------
+// ---- stealing dispatcher: steals and quarantine reroutes ------------------
 
-TEST(DispatcherFailpointTest, StealingDispatcherHitsTheNamedSites) {
-  std::mutex mutex;
-  std::vector<std::string> sites;
+TEST(DispatcherStealingTest, StealsFromTheHomeAndReroutesAroundABan) {
   DispatcherOptions opts;
   opts.max_shards = 2;
   opts.live_shards = 2;
   opts.max_batch = 1;
-  opts.failpoint = [&](const char* site) {
-    std::lock_guard<std::mutex> lock(mutex);
-    sites.emplace_back(site);
-  };
   auto d = make_dispatcher("stealing", opts);
 
   Request r = make_gemm_request(0, "tenant-x");
   const int home = static_cast<int>(affinity_hash(r) % 2);
   ASSERT_TRUE(d->submit(std::move(r)));
-  // A worker on the OTHER shard must steal the request — passing through
-  // the "steal" site on the way.
+  // A worker on the OTHER shard must steal the request.
   const auto batch = d->next_batch(1 - home);
   ASSERT_TRUE(batch.has_value());
   ASSERT_EQ(batch->requests.size(), 1u);
   EXPECT_EQ(d->steals(), 1);
 
-  // Banning the home shard drains through the "drain" site and reroutes
-  // follow-up submissions, which the healthy shard then serves locally.
+  // Banning the home shard drains its queue and reroutes follow-up
+  // submissions, which the healthy shard then serves locally.
   Request queued = make_gemm_request(1, "tenant-x");
   ASSERT_TRUE(d->submit(std::move(queued)));
   d->set_banned(home, true);
@@ -315,13 +306,6 @@ TEST(DispatcherFailpointTest, StealingDispatcherHitsTheNamedSites) {
   ASSERT_TRUE(d->next_batch(1 - home).has_value());
   ASSERT_TRUE(d->next_batch(1 - home).has_value());
   EXPECT_EQ(d->steals(), 1);  // both arrived in the healthy deque
-
-  std::lock_guard<std::mutex> lock(mutex);
-  // Three client submissions, plus the drain re-entering the submit path
-  // when the banned shard's queued request was rerouted.
-  EXPECT_GE(std::count(sites.begin(), sites.end(), "submit"), 3);
-  EXPECT_GE(std::count(sites.begin(), sites.end(), "steal"), 1);
-  EXPECT_GE(std::count(sites.begin(), sites.end(), "drain"), 1);
   d->close();
 }
 

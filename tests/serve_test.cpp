@@ -1804,5 +1804,198 @@ TEST(RequestQueueTest, DeadlineWeightedQuantaChargeFusedRidersOnce) {
   EXPECT_EQ(q.deficit("u"), 0);  // drained tenants retire, debts included
 }
 
+// ---- Completion: the settle-once delivery primitive ----------------------
+
+ErrorCode error_code(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const Error& e) {
+    return e.code();
+  } catch (...) {
+    return ErrorCode::kUnknown;
+  }
+}
+
+TEST(CompletionTest, FirstSettleWinsAndLaterSettlesReturnFalse) {
+  Completion<int> done;
+  std::future<int> future = done.get_future();
+  int booked = 0;
+  EXPECT_FALSE(done.settled());
+  EXPECT_TRUE(done.set_value(7, [&] { ++booked; }));
+  EXPECT_TRUE(done.settled());
+  EXPECT_FALSE(done.set_value(8, [&] { ++booked; }));
+  EXPECT_FALSE(done.set_error(
+      std::make_exception_ptr(Error("late", ErrorCode::kEngineFault)),
+      [&] { ++booked; }));
+  EXPECT_EQ(booked, 1);  // only the winner books
+  EXPECT_EQ(future.get(), 7);
+}
+
+TEST(CompletionTest, AttachedContinuationRunsExactlyOnce) {
+  std::atomic<int> calls{0};
+  std::atomic<int> delivered{0};
+  Completion<int> done;
+  done.then([&](Outcome<int> outcome) {
+    calls.fetch_add(1);
+    if (outcome.ok()) delivered.store(outcome.value);
+  });
+  std::atomic<int> wins{0};
+  std::vector<std::thread> settlers;
+  for (int i = 1; i <= 4; ++i) {
+    settlers.emplace_back([&, i] {
+      const bool won =
+          i % 2 == 0
+              ? done.set_value(i)
+              : done.set_error(std::make_exception_ptr(
+                    Error("racing", ErrorCode::kEngineFault)));
+      if (won) wins.fetch_add(1);
+    });
+  }
+  for (std::thread& t : settlers) t.join();
+  EXPECT_EQ(wins.load(), 1);
+  EXPECT_EQ(calls.load(), 1);
+
+  // An error reaches the continuation too.
+  ErrorCode seen = ErrorCode::kUnknown;
+  Completion<int> failing;
+  failing.then([&](Outcome<int> outcome) {
+    ASSERT_FALSE(outcome.ok());
+    seen = error_code(outcome.error);
+  });
+  EXPECT_TRUE(failing.set_error(
+      std::make_exception_ptr(Error("boom", ErrorCode::kUnavailable))));
+  EXPECT_EQ(seen, ErrorCode::kUnavailable);
+}
+
+TEST(CompletionTest, FutureDeliversAValueAndAnError) {
+  Completion<GemmResult> ok;
+  std::future<GemmResult> value = ok.get_future();
+  GemmResult result;
+  result.cycles = 42;
+  EXPECT_TRUE(ok.set_value(std::move(result)));
+  EXPECT_EQ(value.get().cycles, 42);
+
+  Completion<GemmResult> failed;
+  std::future<GemmResult> error = failed.get_future();
+  EXPECT_TRUE(failed.set_error(
+      std::make_exception_ptr(Error("boom", ErrorCode::kEngineFault))));
+  try {
+    error.get();
+    FAIL() << "expected the settled error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kEngineFault);
+  }
+}
+
+// Continuations run on the settling thread with no server lock held: one
+// may read the settling server's stats(), submit back into it, and submit
+// to a second server.  Driven through all three settle paths — normal
+// completion on a worker, the deadline reaper, and quiesce() stranding
+// queued work on the caller's thread — none of which may deadlock.
+TEST_F(ServeTest, ContinuationsReenterServersOnEverySettlePath) {
+  ServerOptions opts;
+  opts.num_shards = 1;
+  Server a(shard16(), opts);
+  Server b(shard16(), opts);
+  Rng rng(71);
+  auto weights = random_weights(rng, 16, 8);
+  const gemm::Mat32 operand = gemm::random_matrix(rng, 2, 16, -5, 5);
+  SubmitOptions quick;
+  quick.want_output = false;
+  quick.admission_timeout_ms = 0.0;
+
+  struct Seen {
+    bool ok = false;
+    ErrorCode code = ErrorCode::kUnknown;
+    std::int64_t a_submitted = 0;
+    bool resubmitted = false;       // submit back into `a` was accepted
+    ErrorCode resubmit_code = ErrorCode::kUnknown;
+    std::future<GemmResult> from_b;
+  };
+  auto submit_reentrant = [&](const SubmitOptions& submit) {
+    auto report = std::make_shared<std::promise<Seen>>();
+    std::future<Seen> seen = report->get_future();
+    a.submit_gemm(
+        "reentry", operand, weights, submit,
+        [&, report](Outcome<GemmResult> outcome) {
+          Seen s;
+          s.ok = outcome.ok();
+          if (!s.ok) s.code = error_code(outcome.error);
+          s.a_submitted = a.stats().submitted;
+          try {
+            a.submit_gemm("reentry", operand, weights, quick,
+                          [](Outcome<GemmResult>) {});
+            s.resubmitted = true;
+          } catch (const Error& e) {
+            s.resubmit_code = e.code();
+          }
+          // A crashed server's continuation may also re-enter its
+          // lifecycle (no-ops once it is down).
+          if (s.code == ErrorCode::kUnavailable) a.shutdown();
+          s.from_b = b.submit_gemm("reentry", operand, weights, quick);
+          report->set_value(std::move(s));
+        });
+    return seen;
+  };
+  auto wait = [](std::future<Seen>& seen) {
+    EXPECT_EQ(seen.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "continuation deadlocked";
+    return seen.get();
+  };
+  // Parks a's worker: a worker already blocked inside next_batch when the
+  // pause lands grabs ONE batch before it naps, so feed it a sacrificial
+  // request — everything submitted after provably sits in the queue.
+  auto park = [&] {
+    a.pause_serving(true);
+    std::future<GemmResult> parked = a.submit_gemm("park", operand, weights);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    return parked;
+  };
+
+  // 1. Normal completion, on a's worker.
+  {
+    std::future<Seen> seen = submit_reentrant(SubmitOptions{});
+    Seen s = wait(seen);
+    EXPECT_TRUE(s.ok);
+    EXPECT_GE(s.a_submitted, 1);
+    EXPECT_TRUE(s.resubmitted);
+    EXPECT_GT(s.from_b.get().cycles, 0);
+  }
+  // 2. The deadline reaper, on a's worker once the stall lifts.
+  {
+    std::future<GemmResult> parked = park();
+    SubmitOptions overdue;
+    overdue.deadline_ms = 1.0;
+    std::future<Seen> seen = submit_reentrant(overdue);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    a.pause_serving(false);
+    Seen s = wait(seen);
+    EXPECT_EQ(s.code, ErrorCode::kDeadlineExceeded);
+    EXPECT_TRUE(s.resubmitted);
+    EXPECT_GT(s.from_b.get().cycles, 0);
+    EXPECT_GT(parked.get().cycles, 0);
+  }
+  // 3. quiesce(): the stranded request settles on THIS thread.
+  {
+    std::future<GemmResult> parked = park();
+    std::future<Seen> seen = submit_reentrant(SubmitOptions{});
+    a.quiesce();
+    ASSERT_EQ(seen.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    Seen s = seen.get();
+    EXPECT_EQ(s.code, ErrorCode::kUnavailable);
+    EXPECT_FALSE(s.resubmitted);
+    EXPECT_EQ(s.resubmit_code, ErrorCode::kShutdown);
+    EXPECT_GT(s.from_b.get().cycles, 0);
+    // Served before the nap, or stranded with the rest: settled either way.
+    EXPECT_EQ(parked.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  const ServerStats stats = a.stats();
+  EXPECT_EQ(stats.submitted, stats.completed);
+  EXPECT_EQ(stats.promise_double_sets, 0);
+}
+
 }  // namespace
 }  // namespace af::serve
