@@ -518,6 +518,9 @@ std::unique_ptr<Dispatcher> make_dispatcher(const std::string& name,
                         << name << "\" (registered: "
                         << registered_dispatcher_list() << ")");
   }
+  AF_CHECK(options.max_batch >= 1, "max_batch must be at least 1");
+  AF_CHECK(options.max_batch_bytes >= 0,
+           "max_batch_bytes must be non-negative");
   return it->second.create(options);
 }
 

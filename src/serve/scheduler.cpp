@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/status.h"
-
 namespace af::serve {
 
 bool compatible(const Request& head, const Request& r) {
@@ -31,14 +29,6 @@ bool compatible(const Request& head, const Request& r) {
   // identical model (by identity) and identical layer range.
   return head.model == r.model && head.layer_begin == r.layer_begin &&
          head.layer_count == r.layer_count;
-}
-
-BatchScheduler::BatchScheduler(RequestQueue* queue, int max_batch,
-                               std::int64_t max_batch_bytes)
-    : queue_(queue), max_batch_(max_batch), max_batch_bytes_(max_batch_bytes) {
-  AF_CHECK(queue != nullptr, "scheduler needs a queue");
-  AF_CHECK(max_batch >= 1, "max_batch must be at least 1");
-  AF_CHECK(max_batch_bytes >= 0, "max_batch_bytes must be non-negative");
 }
 
 Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
@@ -97,13 +87,6 @@ Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
     for (Request& r : riders) batch.requests.push_back(std::move(r));
   }
   return batch;
-}
-
-std::optional<Batch> BatchScheduler::next_batch() {
-  std::optional<Request> head = queue_->pop();
-  if (!head) return std::nullopt;
-  return assemble_batch(std::move(*head), *queue_, max_batch_,
-                        max_batch_bytes_);
 }
 
 }  // namespace af::serve

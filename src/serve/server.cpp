@@ -20,12 +20,12 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Maps SubmitOptions::admission_timeout_ms onto the dispatcher's timed
-// submit: negative = wait forever (classic blocking admission).
-std::chrono::microseconds admission_timeout(double timeout_ms) {
-  if (timeout_ms < 0.0) return std::chrono::microseconds::max();
-  return std::chrono::microseconds(
-      static_cast<std::int64_t>(timeout_ms * 1000.0));
+// `from` + `ms`, saturating at time_point::max() — the "no bound" value
+// of deadlines and admission budgets — instead of overflowing the clock.
+Clock::time_point ms_after(Clock::time_point from, double ms) {
+  const std::chrono::duration<double, std::milli> span(ms);
+  if (span >= Clock::time_point::max() - from) return Clock::time_point::max();
+  return from + std::chrono::duration_cast<Clock::duration>(span);
 }
 
 // The ErrorCode carried by an in-flight exception (kUnknown for anything
@@ -231,7 +231,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
       options_(options),
       tenants_(options.latency_hist_max_ms) {
   AF_CHECK(options_.num_shards >= 1, "server needs at least one shard");
-  AF_CHECK(options_.max_batch >= 1, "max_batch must be at least 1");
   AF_CHECK(options_.audit_fraction >= 0.0 && options_.audit_fraction <= 1.0,
            "audit_fraction must be in [0, 1]");
   min_shards_ =
@@ -270,8 +269,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
   AF_CHECK(options_.degrade_spad_fraction > 0.0 &&
                options_.degrade_spad_fraction <= 1.0,
            "degrade_spad_fraction must be in (0, 1]");
-  AF_CHECK(options_.max_batch_bytes >= 0,
-           "max_batch_bytes must be non-negative");
   detector_.depth_per_shard = options_.overload_depth_per_shard;
   detector_.wait_p99_ms = options_.overload_wait_p99_ms;
   detector_.backlog_bytes_per_shard =
@@ -559,6 +556,99 @@ void Server::shrink_to(int want) {
   scale_downs_.fetch_add(old - want);
 }
 
+template <class CheckOperands>
+Server::Admission Server::admit(RequestKind kind, const std::string& tenant,
+                                const SubmitOptions& submit,
+                                std::int64_t count,
+                                CheckOperands&& check_operands) {
+  if (shut_down_.load()) {
+    throw Error("submit on a shut-down server", ErrorCode::kShutdown);
+  }
+  check_operands();
+  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
+  // k and backend steer GEMM engines only; inference ignores both.
+  if (kind != RequestKind::kInferSlice) {
+    if (submit.k != 0) {
+      AF_CHECK(shard_config_.supports(submit.k),
+               "mode k=" << submit.k << " not supported");
+    }
+    // is_registered is allocation-free and the message (with its registry
+    // join) is only built on failure — this runs on every overridden
+    // submit.
+    if (!submit.backend.empty()) {
+      AF_CHECK(engine::is_registered(submit.backend),
+               "unknown per-request backend \""
+                   << submit.backend << "\" (registered: "
+                   << engine::registered_backend_list() << ")");
+    }
+  }
+  // One overload verdict per call, before any admission work: a refused
+  // call costs the client one atomic read and one depth estimate, however
+  // many shapes or slices it carries.  Rejection counts every logical
+  // request.  Only single GEMMs degrade: the batched path is cost-only
+  // already, and an inference's fidelity IS its product.
+  Admission admission{.tenant = tenant, .count = count};
+  if (overload_policy_ != OverloadPolicy::kBlock && under_pressure()) {
+    if (overload_policy_ == OverloadPolicy::kReject) {
+      rejected_.fetch_add(count);
+      tenants_.record_error(tenant, ErrorCode::kOverloaded);
+      throw Error("overloaded: admission rejected under the \"reject\" policy",
+                  ErrorCode::kOverloaded);
+    }
+    admission.degrade = kind == RequestKind::kGemm;
+  }
+  admission.max_retries =
+      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
+  admission.enqueue_time = Clock::now();
+  if (submit.deadline_ms > 0.0) {
+    admission.deadline = ms_after(admission.enqueue_time, submit.deadline_ms);
+  }
+  if (submit.admission_timeout_ms >= 0.0) {
+    admission.admit_by =
+        ms_after(admission.enqueue_time, submit.admission_timeout_ms);
+  }
+  return admission;
+}
+
+Request Server::stamped(RequestKind kind, const Admission& admission) {
+  Request r;
+  r.kind = kind;
+  r.id = next_id_.fetch_add(1);
+  r.tenant = admission.tenant;
+  r.max_retries = admission.max_retries;
+  r.enqueue_time = admission.enqueue_time;
+  r.deadline = admission.deadline;
+  return r;
+}
+
+void Server::push(Request& r, Admission& admission) {
+  // What is left of the call's budget: an inference fan-out shares one
+  // bound across its slices instead of granting each the whole of it.
+  std::chrono::microseconds budget = std::chrono::microseconds::max();
+  if (admission.admit_by != Clock::time_point::max()) {
+    budget = std::max(std::chrono::microseconds::zero(),
+                      std::chrono::duration_cast<std::chrono::microseconds>(
+                          admission.admit_by - Clock::now()));
+  }
+  // Counted before the first push: a fast worker may complete the request
+  // before this thread runs another instruction, and stats() must never
+  // show completed > submitted.
+  if (!admission.counted) {
+    submitted_.fetch_add(admission.count);
+    admission.counted = true;
+  }
+  const SubmitResult pushed = dispatcher_->submit_for(r, budget);
+  if (pushed == SubmitResult::kAccepted) return;
+  submitted_.fetch_sub(admission.count);
+  if (pushed == SubmitResult::kWouldBlock) {
+    rejected_.fetch_add(admission.count);
+    tenants_.record_error(admission.tenant, ErrorCode::kOverloaded);
+    throw Error("overloaded: queue still full after admission timeout",
+                ErrorCode::kOverloaded);
+  }
+  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+}
+
 std::future<GemmResult> Server::submit_gemm(
     const std::string& tenant, gemm::Mat32 a,
     std::shared_ptr<const gemm::Mat32> b, int k, bool want_output,
@@ -588,37 +678,13 @@ std::future<GemmResult> Server::enqueue_gemm(
     const std::string& tenant, gemm::Mat32 a,
     std::shared_ptr<const gemm::Mat32> b, const SubmitOptions& submit,
     Completion<GemmResult>::Continuation then) {
-  if (shut_down_.load()) {
-    throw Error("submit_gemm on a shut-down server", ErrorCode::kShutdown);
-  }
-  AF_CHECK(b != nullptr, "weight matrix required");
-  AF_CHECK(a.rows() > 0, "activation matrix must be non-empty");
-  AF_CHECK(a.cols() == b->rows(), "GEMM inner-dimension mismatch: "
-                                      << a.cols() << " vs " << b->rows());
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
-  // is_registered is allocation-free and the message (with its registry
-  // join) is only built on failure — this runs on every overridden submit.
-  if (!submit.backend.empty()) {
-    AF_CHECK(engine::is_registered(submit.backend),
-             "unknown per-request backend \""
-                 << submit.backend << "\" (registered: "
-                 << engine::registered_backend_list()
-                 << ")");
-  }
-  // Overload policy fires before any admission work: a rejected request
-  // costs the client one atomic read and one depth estimate.
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(1);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
-  const bool degrade_now =
-      overload_policy_ == OverloadPolicy::kDegrade && under_pressure();
-  Request r;
-  r.kind = RequestKind::kGemm;
-  r.id = next_id_.fetch_add(1);
-  r.tenant = tenant;
+  Admission admission = admit(RequestKind::kGemm, tenant, submit, 1, [&] {
+    AF_CHECK(b != nullptr, "weight matrix required");
+    AF_CHECK(a.rows() > 0, "activation matrix must be non-empty");
+    AF_CHECK(a.cols() == b->rows(), "GEMM inner-dimension mismatch: "
+                                        << a.cols() << " vs " << b->rows());
+  });
+  Request r = stamped(RequestKind::kGemm, admission);
   r.backend = submit.backend;
   r.shape = gemm::GemmShape{b->cols(), b->rows(), a.rows()};
   r.drr_cost =
@@ -631,8 +697,6 @@ std::future<GemmResult> Server::enqueue_gemm(
   // (private A+C only) — batch assembly picks between the two charges.
   r.drr_rider_bytes = mem::projected_fused_rider_bytes(r.shape, shard_config_);
   if (submit.k != 0) {
-    AF_CHECK(shard_config_.supports(submit.k),
-             "mode k=" << submit.k << " not supported");
     r.decided_k = submit.k;
   } else if (reconfig_.kind == ReconfigPolicyKind::kArgmin) {
     // The stateless default keeps the historical lock-free admission path,
@@ -661,7 +725,7 @@ std::future<GemmResult> Server::enqueue_gemm(
   r.a = std::move(a);
   r.b = std::move(b);
   r.want_output = submit.want_output;
-  if (degrade_now) {
+  if (admission.degrade) {
     // Pressure traffic is admitted but served cost-only on the shard
     // default engine: no output, no fidelity override, audits shed.  The
     // result still carries exact cycles/time/energy (and degraded = true).
@@ -671,82 +735,37 @@ std::future<GemmResult> Server::enqueue_gemm(
     degraded_.fetch_add(1);
     tenants_.record_degraded(tenant);
   }
-  r.max_retries =
-      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-  r.enqueue_time = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    r.deadline = r.enqueue_time +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(
-                         submit.deadline_ms));
-  }
   std::future<GemmResult> future;
   if (then) {
     r.gemm_promise.then(std::move(then));
   } else {
     future = r.gemm_promise.get_future();
   }
-  // Counted before the push: a fast worker may complete the request before
-  // this thread runs another instruction, and stats() must never show
-  // completed > submitted.
-  submitted_.fetch_add(1);
-  // submit_for moves from r only on acceptance, so the completion stays
-  // with this frame (and dies with it, never settled) on rejection.
-  switch (dispatcher_->submit_for(
-      r, admission_timeout(submit.admission_timeout_ms))) {
-    case SubmitResult::kAccepted:
-      return future;
-    case SubmitResult::kWouldBlock:
-      submitted_.fetch_sub(1);
-      rejected_.fetch_add(1);
-      tenants_.record_error(tenant, ErrorCode::kOverloaded);
-      throw Error("overloaded: queue still full after admission timeout",
-                  ErrorCode::kOverloaded);
-    case SubmitResult::kClosed:
-      break;
-  }
-  submitted_.fetch_sub(1);
-  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+  push(r, admission);
+  return future;
 }
 
 BatchTicket Server::submit_gemm_batch(const std::string& tenant,
                                       std::span<const gemm::GemmShape> shapes,
                                       const SubmitOptions& submit) {
-  if (shut_down_.load()) {
-    throw Error("submit_gemm_batch on a shut-down server",
-                ErrorCode::kShutdown);
-  }
-  AF_CHECK(!shapes.empty(), "submit_gemm_batch needs at least one shape");
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
-  if (submit.k != 0) {
-    AF_CHECK(shard_config_.supports(submit.k),
-             "mode k=" << submit.k << " not supported");
-  }
-  if (!submit.backend.empty()) {
-    AF_CHECK(engine::is_registered(submit.backend),
-             "unknown per-request backend \""
-                 << submit.backend << "\" (registered: "
-                 << engine::registered_backend_list() << ")");
-  }
+  // Every shape is one logical request in the books: submitted_ moves by
+  // the batch size, completed_ by the same on delivery or failure.  Shapes
+  // are validated up front (the engine would reject them too, but at
+  // admission the CLIENT gets the throw instead of a failed ticket).
   const std::int64_t count = static_cast<std::int64_t>(shapes.size());
-  // One overload check for the whole batch — N shapes cost the client ONE
-  // atomic read and one depth estimate, not N.  Rejection counts every
-  // shape (each is a logical request, like the books below).
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(count);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
-  // Shape validation up front (the engine would reject them too, but at
-  // admission the CLIENT gets the throw instead of a failed ticket), and
-  // the DRR charge: cost queries run no hardware, so they are billed by
+  Admission admission =
+      admit(RequestKind::kGemmBatch, tenant, submit, count, [&] {
+        AF_CHECK(!shapes.empty(), "submit_gemm_batch needs at least one shape");
+        for (const gemm::GemmShape& s : shapes) {
+          AF_CHECK(s.m > 0 && s.n > 0 && s.t > 0,
+                   "submit_gemm_batch shape dims must be positive, got m="
+                       << s.m << " n=" << s.n << " t=" << s.t);
+        }
+      });
+  // The DRR charge: cost queries run no hardware, so they are billed by
   // query count — a tenant spamming estimates shares the planning lane
   // fairly without starving anyone's real GEMM MACs.
-  Request r;
-  r.kind = RequestKind::kGemmBatch;
-  r.id = next_id_.fetch_add(1);
-  r.tenant = tenant;
+  Request r = stamped(RequestKind::kGemmBatch, admission);
   r.backend = submit.backend;
   r.decided_k = submit.k;  // 0 = per-shape argmin inside evaluate_batch
   r.want_output = false;   // the batched path is cost-only by construction
@@ -754,44 +773,16 @@ BatchTicket Server::submit_gemm_batch(const std::string& tenant,
   r.drr_bytes = 0;         // no operands, no projected DRAM traffic
   r.drr_rider_bytes = 0;
   std::shared_ptr<BatchSlot> slot = slot_pool_.acquire();
-  std::vector<gemm::GemmShape>& slot_shapes = slot->shapes();
-  slot_shapes.reserve(shapes.size());
-  for (const gemm::GemmShape& s : shapes) {
-    AF_CHECK(s.m > 0 && s.n > 0 && s.t > 0,
-             "submit_gemm_batch shape dims must be positive, got m="
-                 << s.m << " n=" << s.n << " t=" << s.t);
-    slot_shapes.push_back(s);
-  }
+  slot->shapes().assign(shapes.begin(), shapes.end());
   r.slot = slot;
-  r.max_retries =
-      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-  r.enqueue_time = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    r.deadline = r.enqueue_time +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(
-                         submit.deadline_ms));
+  try {
+    push(r, admission);
+  } catch (...) {
+    r.slot.reset();
+    slot_pool_.release(std::move(slot));
+    throw;
   }
-  // Every shape is one logical request in the books: submitted_ moves by
-  // the batch size here, completed_ moves by the same on delivery or
-  // failure, so submitted == completed still balances (the lifecycle
-  // invariant the tests pin).
-  submitted_.fetch_add(count);
-  switch (dispatcher_->submit_for(
-      r, admission_timeout(submit.admission_timeout_ms))) {
-    case SubmitResult::kAccepted:
-      return BatchTicket(std::move(slot), &slot_pool_);
-    case SubmitResult::kWouldBlock:
-      submitted_.fetch_sub(count);
-      rejected_.fetch_add(count);
-      tenants_.record_error(tenant, ErrorCode::kOverloaded);
-      throw Error("overloaded: queue still full after admission timeout",
-                  ErrorCode::kOverloaded);
-    case SubmitResult::kClosed:
-      break;
-  }
-  submitted_.fetch_sub(count);
-  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+  return BatchTicket(std::move(slot), &slot_pool_);
 }
 
 std::future<InferenceResult> Server::submit_inference(
@@ -817,21 +808,11 @@ std::future<InferenceResult> Server::enqueue_inference(
     const std::string& tenant, std::shared_ptr<const nn::Model> model,
     const SubmitOptions& submit,
     Completion<InferenceResult>::Continuation then) {
-  if (shut_down_.load()) {
-    throw Error("submit_inference on a shut-down server",
-                ErrorCode::kShutdown);
-  }
-  AF_CHECK(model != nullptr && !model->layers.empty(),
-           "inference needs a non-empty model");
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
-  // Inference is never degraded (its fidelity IS the product); under
-  // pressure the "reject" policy sheds it like any other admission.
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(1);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
+  Admission admission =
+      admit(RequestKind::kInferSlice, tenant, submit, 1, [&] {
+        AF_CHECK(model != nullptr && !model->layers.empty(),
+                 "inference needs a non-empty model");
+      });
   const std::size_t layers = model->layers.size();
   const std::size_t slices = std::min<std::size_t>(
       static_cast<std::size_t>(std::max(1, live_shards_.load())), layers);
@@ -839,7 +820,7 @@ std::future<InferenceResult> Server::enqueue_inference(
   auto join = std::make_shared<InferJoin>();
   join->parts.resize(slices);
   join->remaining = slices;
-  join->enqueue_time = Clock::now();
+  join->enqueue_time = admission.enqueue_time;
   join->tenant = tenant;
   join->model_name = model->name;
   std::future<InferenceResult> future;
@@ -854,48 +835,27 @@ std::future<InferenceResult> Server::enqueue_inference(
   const std::size_t base = layers / slices;
   const std::size_t extra = layers % slices;
   std::size_t begin = 0;
-  submitted_.fetch_add(1);
   for (std::size_t i = 0; i < slices; ++i) {
     const std::size_t count = base + (i < extra ? 1 : 0);
-    Request r;
-    r.kind = RequestKind::kInferSlice;
-    r.id = next_id_.fetch_add(1);
-    r.tenant = tenant;
-    r.enqueue_time = join->enqueue_time;
+    Request r = stamped(RequestKind::kInferSlice, admission);
     r.model = model;
     r.layer_begin = begin;
     r.layer_count = count;
     r.slice_index = i;
     r.join = join;
     r.drr_cost = std::max<std::int64_t>(1, slice_macs(*model, begin, count));
-    r.max_retries =
-        submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-    if (submit.deadline_ms > 0.0) {
-      r.deadline = join->enqueue_time +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double, std::milli>(
-                           submit.deadline_ms));
-    }
     begin += count;
-    const SubmitResult pushed = dispatcher_->submit_for(
-        r, admission_timeout(submit.admission_timeout_ms));
-    if (pushed != SubmitResult::kAccepted) {
-      // Shutdown (or an admission timeout) raced the fan-out: slices pushed
-      // so far are already in workers' hands.  Marking the join failed
-      // turns them into no-ops (execute_infer_batch skips failed joins), so
-      // a rejected submission never half-completes or half-bills.
-      {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        join->failed = true;
-      }
-      submitted_.fetch_sub(1);
-      if (pushed == SubmitResult::kWouldBlock) {
-        rejected_.fetch_add(1);
-        tenants_.record_error(tenant, ErrorCode::kOverloaded);
-        throw Error("overloaded: queue still full after admission timeout",
-                    ErrorCode::kOverloaded);
-      }
-      throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+    try {
+      push(r, admission);
+    } catch (...) {
+      // Shutdown or the spent admission budget refused a slice mid
+      // fan-out: slices pushed so far are already in workers' hands.  Marking the join
+      // failed turns them into no-ops (execute_infer_batch skips failed
+      // joins), so a refused submission never half-completes or
+      // half-bills.
+      std::lock_guard<std::mutex> lock(join->mutex);
+      join->failed = true;
+      throw;
     }
   }
   return future;

@@ -438,6 +438,18 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
+  // Admission.  Every submit_* form below takes the same path, in this
+  // order: (1) validate — shutdown (kShutdown), deadline, k, backend,
+  // operands/shapes/model (kInvalidArgument); (2) one overload verdict per
+  // call, taken only under a non-"block" policy — "reject" throws
+  // kOverloaded, "degrade" flags GEMMs cost-only; (3) stamp id, tenant,
+  // retries, enqueue time and deadline; (4) one timed push per queued
+  // request, all of a call sharing ONE SubmitOptions::admission_timeout_ms
+  // budget (kOverloaded once it runs out on a full queue, kShutdown if the
+  // server closes meanwhile).  An overload refusal moves
+  // ServerStats::rejected by the call's logical count; no refusal moves
+  // submitted.
+  //
   // X = a x *b in mode k (0 = per-request optimizer choice).  `b` is the
   // shared stationary weight matrix — requests naming the same matrix (by
   // pointer) with equal shapes and modes are fused into one hardware run.
@@ -447,8 +459,7 @@ class Server {
   // to price millions of GEMMs.  `backend` (optional) pins THIS request to
   // a specific registered engine regardless of the shard default —
   // fidelity routing per submission, layered on top of audit sampling;
-  // unknown names are rejected here with the registry listed.  Blocks
-  // while the queue is full; throws af::Error after shutdown.
+  // unknown names are rejected here with the registry listed.
   std::future<GemmResult> submit_gemm(const std::string& tenant,
                                       gemm::Mat32 a,
                                       std::shared_ptr<const gemm::Mat32> b,
@@ -456,10 +467,7 @@ class Server {
                                       const std::string& backend = "");
 
   // Robustness-aware variant: deadline, bounded admission wait, retry
-  // budget (see SubmitOptions).  Throws af::Error(kOverloaded) when the
-  // "reject" policy sheds the request or the admission timeout elapses on
-  // a full queue; af::Error(kShutdown) after shutdown.  The legacy
-  // overload above delegates here.
+  // budget (see SubmitOptions).  The legacy overload above delegates here.
   std::future<GemmResult> submit_gemm(const std::string& tenant,
                                       gemm::Mat32 a,
                                       std::shared_ptr<const gemm::Mat32> b,
@@ -468,7 +476,7 @@ class Server {
   // Continuation form, which the future forms wrap: `then` receives the
   // outcome — the result or the typed error — exactly once, on whichever
   // thread settles the request, provided this call returns; a refused
-  // submission throws (as above) and never runs it.  The settling thread
+  // submission throws and never runs it.  The settling thread
   // holds no server lock, so `then` may call stats() or submit again.
   void submit_gemm(const std::string& tenant, gemm::Mat32 a,
                    std::shared_ptr<const gemm::Mat32> b,
@@ -485,10 +493,8 @@ class Server {
   // completed move by shapes.size()).  SubmitOptions::want_output is
   // ignored (the batched path is cost-only by construction); deadline,
   // admission timeout, retries and the backend override apply to the
-  // batch as a unit.  Throws like submit_gemm (kOverloaded under the
-  // reject policy or admission timeout, kShutdown after shutdown);
-  // BatchTicket::get() blocks for the estimates and rethrows a serving-
-  // side failure.
+  // batch as a unit.  BatchTicket::get() blocks for the estimates and
+  // rethrows a serving-side failure.
   BatchTicket submit_gemm_batch(const std::string& tenant,
                                 std::span<const gemm::GemmShape> shapes,
                                 const SubmitOptions& submit = {});
@@ -501,10 +507,10 @@ class Server {
   std::future<InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model);
 
-  // Robustness-aware variant (deadline / admission timeout / retries apply
-  // per layer-slice; one failed slice fails the whole join with that
-  // slice's error).  SubmitOptions::k, want_output and backend are ignored
-  // for inference.
+  // Robustness-aware variant (deadline and retries apply per layer-slice,
+  // the admission timeout to the whole fan-out; one failed slice fails the
+  // whole join with that slice's error).  SubmitOptions::k, want_output and
+  // backend are ignored for inference.
   std::future<InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const SubmitOptions& submit);
@@ -581,6 +587,34 @@ class Server {
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const SubmitOptions& submit,
       Completion<InferenceResult>::Continuation then);
+
+  // One submit_* call on its way through admission.
+  struct Admission {
+    const std::string& tenant;
+    std::int64_t count;      // logical requests: the books move by this
+    bool degrade = false;    // GEMM admitted cost-only under "degrade"
+    int max_retries = 0;
+    Clock::time_point enqueue_time{};
+    Clock::time_point deadline = Clock::time_point::max();  // max() = none
+    // End of the call's one admission budget (max() = wait forever).
+    Clock::time_point admit_by = Clock::time_point::max();
+    bool counted = false;    // submitted_ already moved by count
+  };
+  // Admission steps 1-2 and the call-wide stamps of step 3 (see the
+  // public submit_* comment): `check_operands` validates what only the
+  // caller knows and throws before any verdict is taken.
+  template <class CheckOperands>
+  Admission admit(RequestKind kind, const std::string& tenant,
+                  const SubmitOptions& submit, std::int64_t count,
+                  CheckOperands&& check_operands);
+  // Step 3: a fresh request of `kind` carrying a new id and the call's
+  // stamps.
+  Request stamped(RequestKind kind, const Admission& admission);
+  // Step 4: the timed push, within what is left of the call's budget.
+  // Owns the books (submitted_ before the first push, rolled back and
+  // rejected_ moved on refusal) and throws each typed refusal; moves from
+  // `r` only on acceptance.
+  void push(Request& r, Admission& admission);
 
   void shard_loop(Shard& shard);
   void execute_gemm_batch(Shard& shard, Batch& batch);

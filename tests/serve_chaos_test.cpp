@@ -11,12 +11,14 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/engine.h"
 #include "gemm/reference.h"
+#include "nn/layer.h"
 #include "serve/dispatcher.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -632,6 +634,154 @@ TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
                Error);
   server.quiesce();
   server.shutdown();
+}
+
+// ---- one admission path ---------------------------------------------------
+
+// The code a refused submission throws; nullopt when it was accepted.
+template <class Submit>
+std::optional<ErrorCode> refusal(Submit&& submit) {
+  try {
+    submit();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+// Pauses a one-shard server so that it holds exactly one queued GEMM and
+// returns that request's future.  A worker already blocked in next_batch
+// when the pause lands still grabs ONE batch before it naps, so a
+// sacrificial request goes first; when the worker takes it, the next
+// request is the one held.
+std::future<GemmResult> hold_one(Server& server, Rng& rng,
+                                 const std::shared_ptr<gemm::Mat32>& w) {
+  server.pause_serving(true);
+  auto first =
+      server.submit_gemm("held", gemm::random_matrix(rng, 1, 16, -5, 5), w);
+  if (first.wait_for(milliseconds(200)) != std::future_status::ready) {
+    return first;  // the worker napped before taking it
+  }
+  first.get();
+  return server.submit_gemm("held", gemm::random_matrix(rng, 1, 16, -5, 5),
+                            w);
+}
+
+// submit_gemm, submit_gemm_batch and submit_inference share one admission
+// path, so each refuses for the same cause with the same typed code and
+// the same books: `rejected` moves by the call's logical count (1, the
+// batch size, 1), `submitted` never moves for a refused call, and a
+// malformed call is kInvalidArgument even under pressure.
+TEST_F(ServeChaosTest, EveryEntryPointRefusesAlike) {
+  Rng rng(97);
+  auto weights = random_weights(rng, 16, 8);
+  auto model = std::make_shared<nn::Model>();
+  model->name = "two-layer";
+  model->layers.push_back(nn::Layer::linear("fc1", 16, 16));
+  model->layers.push_back(nn::Layer::linear("fc2", 16, 8));
+  const std::vector<gemm::GemmShape> shapes = {
+      {.m = 8, .n = 16, .t = 4}, {.m = 16, .n = 16, .t = 2},
+      {.m = 8, .n = 8, .t = 1}};
+  const std::int64_t batch_size = static_cast<std::int64_t>(shapes.size());
+  const std::vector<gemm::GemmShape> zero_dim = {{.m = 8, .n = 16, .t = 0}};
+
+  const auto gemm_call = [&](Server& server, const SubmitOptions& submit) {
+    return refusal([&] {
+      server.submit_gemm("t", gemm::random_matrix(rng, 2, 16, -10, 10),
+                         weights, submit);
+    });
+  };
+  const auto batch_call = [&](Server& server, const SubmitOptions& submit,
+                              const std::vector<gemm::GemmShape>& batch) {
+    return refusal([&] { server.submit_gemm_batch("t", batch, submit); });
+  };
+  const auto infer_call = [&](Server& server, const SubmitOptions& submit) {
+    return refusal([&] { server.submit_inference("t", model, submit); });
+  };
+
+  ServerOptions base;
+  base.num_shards = 1;
+  base.max_batch = 1;
+
+  {  // After shutdown: kShutdown everywhere, books untouched.
+    Server server(shard16(), base);
+    server.shutdown();
+    const ServerStats before = server.stats();
+    EXPECT_EQ(gemm_call(server, {}), ErrorCode::kShutdown);
+    EXPECT_EQ(batch_call(server, {}, shapes), ErrorCode::kShutdown);
+    EXPECT_EQ(infer_call(server, {}), ErrorCode::kShutdown);
+    const ServerStats after = server.stats();
+    EXPECT_EQ(after.submitted, before.submitted);
+    EXPECT_EQ(after.completed, before.completed);
+    EXPECT_EQ(after.rejected, before.rejected);
+  }
+
+  {  // "reject" under pressure: one queued request trips the depth check.
+    ServerOptions opts = base;
+    opts.overload_policy = "reject";
+    opts.overload_depth_per_shard = 1.0;
+    opts.overload_wait_p99_ms = 1e9;  // only the instantaneous depth trips
+    Server server(shard16(), opts);
+    auto held = hold_one(server, rng, weights);
+    const std::int64_t submitted = server.stats().submitted;
+    std::int64_t rejected = server.stats().rejected;
+
+    // Validation runs before the verdict: malformed calls are invalid, not
+    // overloaded, and never count as rejected.
+    SubmitOptions negative_deadline;
+    negative_deadline.deadline_ms = -1.0;
+    EXPECT_EQ(gemm_call(server, negative_deadline),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(batch_call(server, negative_deadline, shapes),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(infer_call(server, negative_deadline),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(batch_call(server, {}, zero_dim), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(server.stats().rejected, rejected);
+
+    EXPECT_EQ(gemm_call(server, {}), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += 1);
+    EXPECT_EQ(batch_call(server, {}, shapes), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += batch_size);
+    EXPECT_EQ(infer_call(server, {}), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += 1);
+    EXPECT_EQ(server.stats().submitted, submitted);
+
+    server.pause_serving(false);
+    EXPECT_GT(held.get().cycles, 0);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, stats.submitted);
+  }
+
+  {  // "block" on a full queue with no admission budget: timed refusal.
+    ServerOptions opts = base;
+    opts.queue_capacity = 1;
+    Server server(shard16(), opts);
+    auto held = hold_one(server, rng, weights);
+    const std::int64_t submitted = server.stats().submitted;
+    std::int64_t rejected = server.stats().rejected;
+
+    SubmitOptions no_wait;
+    no_wait.admission_timeout_ms = 0.0;
+    EXPECT_EQ(gemm_call(server, no_wait), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += 1);
+    EXPECT_EQ(batch_call(server, no_wait, shapes), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += batch_size);
+    EXPECT_EQ(infer_call(server, no_wait), ErrorCode::kOverloaded);
+    EXPECT_EQ(server.stats().rejected, rejected += 1);
+    EXPECT_EQ(server.stats().submitted, submitted);
+
+    server.pause_serving(false);
+    EXPECT_GT(held.get().cycles, 0);
+    // Once the queue drains, the same call is admitted — and the refused
+    // ones left nothing behind to serve or count.
+    EXPECT_EQ(batch_call(server, no_wait, shapes), std::nullopt);
+    server.shutdown();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, submitted + batch_size);
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.promise_double_sets, 0);
+  }
 }
 
 TEST_F(ServeChaosTest, LocalityAwareStealingAvoidsReconfigurationDrains) {

@@ -11,6 +11,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -47,6 +48,15 @@ Request make_tenant_request(std::uint64_t id, const std::string& tenant,
   r.tenant = tenant;
   r.drr_cost = drr_cost;
   return r;
+}
+
+// One dispatch the way both dispatchers form it: pop the DRR head, then
+// assemble its batch from the same queue.  nullopt once the queue is
+// closed and drained.
+std::optional<Batch> next_batch(RequestQueue& q, int max_batch) {
+  std::optional<Request> head = q.pop();
+  if (!head) return std::nullopt;
+  return assemble_batch(std::move(*head), q, max_batch);
 }
 
 TEST(RequestQueueTest, FifoOrderAndBoundedCapacity) {
@@ -106,8 +116,7 @@ TEST(BatchSchedulerTest, CoalescesSameModeAcrossIncompatibleMiddle) {
   ASSERT_TRUE(q.push(make_gemm_request(3, 1)));
   q.close();
 
-  BatchScheduler sched(&q, /*max_batch=*/8);
-  auto b1 = sched.next_batch();
+  auto b1 = next_batch(q, /*max_batch=*/8);
   ASSERT_TRUE(b1.has_value());
   EXPECT_EQ(b1->k, 1);
   ASSERT_EQ(b1->requests.size(), 3u);  // ids 0, 2, 3 — id 1 kept its place
@@ -115,11 +124,11 @@ TEST(BatchSchedulerTest, CoalescesSameModeAcrossIncompatibleMiddle) {
   EXPECT_EQ(b1->requests[1].id, 2u);
   EXPECT_EQ(b1->requests[2].id, 3u);
 
-  auto b2 = sched.next_batch();
+  auto b2 = next_batch(q, 8);
   ASSERT_TRUE(b2.has_value());
   EXPECT_EQ(b2->k, 2);
   EXPECT_EQ(b2->requests.size(), 1u);
-  EXPECT_FALSE(sched.next_batch().has_value());
+  EXPECT_FALSE(next_batch(q, 8).has_value());
 }
 
 // ---- deficit round-robin fairness (serve/queue.h) -------------------------
@@ -242,15 +251,14 @@ TEST(BatchSchedulerTest, OnePassCoalescingPinsBatchCompositionAndFusedRuns) {
   }
   q.close();
 
-  BatchScheduler sched(&q, /*max_batch=*/8);
-  auto b1 = sched.next_batch();
+  auto b1 = next_batch(q, /*max_batch=*/8);
   ASSERT_TRUE(b1.has_value());
   EXPECT_EQ(b1->k, 1);
   std::vector<std::uint64_t> ids1;
   for (const Request& r : b1->requests) ids1.push_back(r.id);
   EXPECT_EQ(ids1, (std::vector<std::uint64_t>{0, 1, 3, 6, 7, 9}));
 
-  auto b2 = sched.next_batch();
+  auto b2 = next_batch(q, 8);
   ASSERT_TRUE(b2.has_value());
   EXPECT_EQ(b2->k, 2);
   std::vector<std::uint64_t> ids2;
@@ -259,7 +267,7 @@ TEST(BatchSchedulerTest, OnePassCoalescingPinsBatchCompositionAndFusedRuns) {
 
   // Two dispatches for ten requests: the whole backlog coalesced into one
   // batch per (mode) bucket.
-  EXPECT_FALSE(sched.next_batch().has_value());
+  EXPECT_FALSE(next_batch(q, 8).has_value());
 }
 
 TEST(BatchSchedulerTest, MaxBatchOneDisablesCoalescing) {
@@ -267,9 +275,8 @@ TEST(BatchSchedulerTest, MaxBatchOneDisablesCoalescing) {
   ASSERT_TRUE(q.push(make_gemm_request(0, 1)));
   ASSERT_TRUE(q.push(make_gemm_request(1, 1)));
   q.close();
-  BatchScheduler sched(&q, /*max_batch=*/1);
-  EXPECT_EQ(sched.next_batch()->requests.size(), 1u);
-  EXPECT_EQ(sched.next_batch()->requests.size(), 1u);
+  EXPECT_EQ(next_batch(q, /*max_batch=*/1)->requests.size(), 1u);
+  EXPECT_EQ(next_batch(q, 1)->requests.size(), 1u);
 }
 
 // ---- dispatch layer (serve/dispatcher.h) ----------------------------------
@@ -293,6 +300,23 @@ TEST(DispatcherRegistryTest, ListsExactlyTheShippedDispatchers) {
   }
   EXPECT_THROW(make_dispatcher("centralized", {}), Error);
   EXPECT_THROW(dispatcher_description("centralized"), Error);
+}
+
+TEST(DispatcherRegistryTest, RejectsBadBatchLimitsTyped) {
+  for (const std::string& name : registered_dispatchers()) {
+    DispatcherOptions no_batch;
+    no_batch.max_batch = 0;
+    DispatcherOptions negative_bytes;
+    negative_bytes.max_batch_bytes = -1;
+    for (const DispatcherOptions& bad : {no_batch, negative_bytes}) {
+      try {
+        make_dispatcher(name, bad);
+        FAIL() << name << " accepted a bad batch limit";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << name;
+      }
+    }
+  }
 }
 
 TEST(DispatcherTest, StealingRoutesByAffinityAndStealsWholeRounds) {
