@@ -4,9 +4,10 @@
 // property-test sweeps.
 //
 // Besides the google-benchmark suite, main() self-measures the tiled
-// run_gemm path across {side, k, threads} and writes the MACs/s table to
-// BENCH_sim_throughput.json so the simulator's perf trajectory is tracked
-// across PRs.
+// run_gemm path across {side, k, threads}, and the product kernel beside
+// its reference oracle on the transformer phase shapes, and writes both
+// MACs/s tables to BENCH_sim_throughput.json so the perf trajectory is
+// tracked across changes.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "arch/array.h"
 #include "arch/latency.h"
 #include "engine/engine.h"
+#include "gemm/multiply.h"
 #include "gemm/reference.h"
 #include "mem/tile_scheduler.h"
 #include "hw/builders/multiplier.h"
@@ -135,16 +137,51 @@ BENCHMARK(BM_EngineRunGemm)
     ->Args({1, 1})
     ->Args({1, 0});
 
+using ProductFn = gemm::Mat64 (*)(const gemm::Mat32&, const gemm::Mat32&);
+
+// Times `product` on a T x N by N x M GEMM and reports MACs/s.
+void run_product(benchmark::State& state, ProductFn product, std::int64_t t,
+                 std::int64_t n, std::int64_t m) {
+  Rng rng(2);
+  const gemm::Mat32 a = gemm::random_matrix(rng, t, n, -100, 100);
+  const gemm::Mat32 b = gemm::random_matrix(rng, n, m, -100, 100);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(product(a, b));
+  }
+  state.counters["MACs/s"] = benchmark::Counter(
+      static_cast<double>(t * n * m) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+// The oracle every product is checked against.
 void BM_ReferenceGemm(benchmark::State& state) {
   const std::int64_t n = state.range(0);
-  Rng rng(2);
-  const gemm::Mat32 a = gemm::random_matrix(rng, 32, n, -100, 100);
-  const gemm::Mat32 b = gemm::random_matrix(rng, n, n, -100, 100);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gemm::reference_gemm(a, b));
-  }
+  run_product(state, gemm::reference_gemm, 32, n, n);
 }
 BENCHMARK(BM_ReferenceGemm)->Arg(64)->Arg(128);
+
+// The transformer phase GEMMs of perfbench's llm_stream workload (d_model
+// 64, 2 heads, d_ff 256, 128 cached positions) as {N, M}: qkv_proj,
+// attn_score, attn_context, out_proj, mlp_up, mlp_down.
+constexpr std::int64_t kPhaseShapes[][2] = {
+    {64, 192}, {32, 128}, {128, 32}, {64, 64}, {64, 256}, {256, 64}};
+
+// The production kernel behind the analytic backend's output-producing
+// runs: BM_ReferenceGemm's shapes, then every phase shape at decode (T = 1)
+// and prefill (T = 16) rows.
+void BM_ProductKernel(benchmark::State& state) {
+  run_product(state, gemm::multiply, state.range(0), state.range(1),
+              state.range(2));
+}
+BENCHMARK(BM_ProductKernel)
+    ->ArgNames({"t", "n", "m"})
+    ->Args({32, 64, 64})
+    ->Args({32, 128, 128})
+    ->Apply([](benchmark::internal::Benchmark* bench) {
+      for (const std::int64_t t : {1, 16}) {
+        for (const auto& [n, m] : kPhaseShapes) bench->Args({t, n, m});
+      }
+    });
 
 void BM_AnalyticLatencyModel(benchmark::State& state) {
   const arch::ArrayConfig cfg = config_for(128);
@@ -256,6 +293,52 @@ std::vector<RooflinePoint> roofline_sweep() {
   return points;
 }
 
+// One product-kernel rung: the oracle's and the kernel's MACs/s on one
+// T x N by N x M shape.
+struct ProductPoint {
+  std::int64_t t, n, m;
+  double reference_macs_per_s;
+  double kernel_macs_per_s;
+};
+
+// MACs/s of `product`, best of three timed loops of at least 20 ms each.
+double product_macs_per_s(ProductFn product, const gemm::Mat32& a,
+                          const gemm::Mat32& b) {
+  const double macs = static_cast<double>(a.rows() * a.cols() * b.cols());
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::int64_t runs = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    double secs = 0.0;
+    while (secs < 0.02) {
+      benchmark::DoNotOptimize(product(a, b));
+      ++runs;
+      secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+                 .count();
+    }
+    best = std::max(best, macs * static_cast<double>(runs) / secs);
+  }
+  return best;
+}
+
+// The kernel beside its oracle on the llm_stream phase shapes (decode and
+// prefill rows): the rung that output-producing analytic runs pay.
+std::vector<ProductPoint> product_sweep() {
+  std::vector<ProductPoint> points;
+  Rng rng(2);
+  for (const std::int64_t t : {1, 16}) {
+    for (const auto& [n, m] : kPhaseShapes) {
+      const gemm::Mat32 a = gemm::random_matrix(rng, t, n, -100, 100);
+      const gemm::Mat32 b = gemm::random_matrix(rng, n, m, -100, 100);
+      points.push_back({t, n, m,
+                        product_macs_per_s(gemm::reference_gemm, a, b),
+                        product_macs_per_s(gemm::multiply, a, b)});
+    }
+  }
+  return points;
+}
+
 // Self-measured MACs/s sweep over {side, k, threads} on the threaded
 // cycle-accurate path — driven through the engine facade, like every other
 // consumer since the API redesign — written as BENCH_sim_throughput.json
@@ -321,6 +404,15 @@ void write_throughput_json(const std::string& path) {
          << ", \"dram_bytes\": " << p.dram_bytes
          << ", \"macs_per_cycle\": " << p.macs_per_cycle << "}"
          << (i + 1 < roofline.size() ? "," : "") << "\n";
+  }
+  const std::vector<ProductPoint> products = product_sweep();
+  json << "  ],\n  \"product_kernel\": [\n";
+  for (std::size_t i = 0; i < products.size(); ++i) {
+    const ProductPoint& p = products[i];
+    json << "    {\"t\": " << p.t << ", \"n\": " << p.n << ", \"m\": " << p.m
+         << ", \"reference_macs_per_s\": " << p.reference_macs_per_s
+         << ", \"kernel_macs_per_s\": " << p.kernel_macs_per_s << "}"
+         << (i + 1 < products.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"overall_mean_macs_per_s\": " << overall.mean() << "\n}\n";
 

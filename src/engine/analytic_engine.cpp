@@ -7,6 +7,7 @@
 #include "arch/activity.h"
 #include "arch/sparse.h"
 #include "engine/cost_cache.h"
+#include "gemm/multiply.h"
 #include "util/status.h"
 
 namespace af::engine {
@@ -41,15 +42,20 @@ RunResult AnalyticEngine::run_gemm(const GemmRequest& request) {
         *request.b, config().rows, config().cols);
     result.cost = analytic_sparse_estimate(shape, k, occupancy);
   } else {
-    result.cost = analytic_estimate(shape, k);
+    // Memoized: a repeated shape skips the closed forms and, with the
+    // memory hierarchy on, the per-run DMA plan.  A hit is the same
+    // finalized() value a miss computes, so the cost is exactly
+    // analytic_estimate(shape, k) either way.
+    result.cost = evaluate_cached(shape, k);
   }
   result.measured = false;
-  // The product is computed only on demand — and by the reference GEMM, not
-  // the simulator.  reference_gemm is bit-identical to the array (that is
-  // the simulator's own correctness oracle), so a caller cannot tell the
-  // backends apart by their outputs, only by their speed.
+  // The product is computed only on demand — and by the vectorized product
+  // kernel, not the simulator.  gemm::multiply is bit-identical to
+  // reference_gemm, which is bit-identical to the array (the simulator's
+  // own correctness oracle), so a caller cannot tell the backends apart by
+  // their outputs, only by their speed.
   if (request.want_output) {
-    result.out = gemm::reference_gemm(*request.a, *request.b);
+    result.out = gemm::multiply(*request.a, *request.b);
   }
   return result;
 }

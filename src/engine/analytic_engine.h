@@ -5,8 +5,10 @@
 // (tests/arch_equivalence_test.cpp, tests/engine_test.cpp), so this
 // backend's CostEstimates are exactly the numbers the "cycle" backend
 // measures — at a tiny fraction of the cost.  The output matrix is
-// computed via gemm::reference_gemm only when the request asks for it;
-// cost-only traffic never touches the operands.
+// computed by the vectorized gemm::multiply (bit-identical to the
+// gemm::reference_gemm oracle) only when the request asks for it; cost-only
+// traffic never touches the operands.  Dense run pricing goes through the
+// cost cache (evaluate_cached), so repeated shapes are priced once.
 
 #pragma once
 

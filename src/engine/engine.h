@@ -24,8 +24,9 @@
 //   "analytic" AnalyticEngine — closed-form latency/activity/power (the
 //              equations pinned cycle-for-cycle and counter-for-counter
 //              against the simulator by tests/arch_equivalence_test.cpp and
-//              tests/engine_test.cpp); the output matrix is computed via
-//              gemm::reference_gemm ONLY when the request asks for it.
+//              tests/engine_test.cpp); the output matrix is computed by
+//              the vectorized gemm::multiply (bit-identical to the
+//              gemm::reference_gemm oracle) ONLY when the request asks.
 //              Orders of magnitude faster, bit-identical outputs, and —
 //              because the closed forms are exact — identical cycles,
 //              counters and energy too.

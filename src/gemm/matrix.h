@@ -41,6 +41,9 @@ class Matrix {
   }
 
   const std::vector<T>& data() const { return data_; }
+  // Row-major storage for kernels that write a whole matrix in place
+  // (gemm::multiply); the shape stays fixed.
+  T* mutable_data() { return data_.data(); }
 
   bool operator==(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;

@@ -866,10 +866,15 @@ void Server::shard_loop(Shard& shard) {
     // Stall failpoint: a paused worker holds no batch (the check sits
     // BEFORE next_batch), so pausing strands nothing in a worker's hands —
     // queued work waits in the dispatcher, where quiesce() can still hand
-    // it off.  Retirement and shutdown both break the nap.
-    while (paused_.load(std::memory_order_acquire) && !shut_down_.load()) {
-      if (shard.index >= live_shards_.load()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // it off.  Retirement and shutdown both break the nap.  The worker
+    // counts itself in parked_workers() for the whole nap.
+    if (paused_.load(std::memory_order_acquire)) {
+      parked_.fetch_add(1, std::memory_order_acq_rel);
+      while (paused_.load(std::memory_order_acquire) && !shut_down_.load()) {
+        if (shard.index >= live_shards_.load()) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      parked_.fetch_sub(1, std::memory_order_acq_rel);
     }
     // A quiescing server strands its queue instead of draining it: exit
     // here, before next_batch, so the crash path cannot half-serve work
@@ -1222,23 +1227,29 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
       want_output = want_output || batch.requests[i].want_output;
       degraded_run = degraded_run || batch.requests[i].degraded;
     }
-    gemm::Mat32 stacked(total_t, head.shape.n);
+    // A group of one (the common case) runs on the request's own A; only
+    // a real fusion stacks its members' rows into one operand.
+    const bool unfused = members.size() == 1;
+    gemm::Mat32 stacked;
     std::int64_t row = 0;
-    for (const std::size_t i : members) {
-      const gemm::Mat32& a = batch.requests[i].a;
-      for (std::int64_t t = 0; t < a.rows(); ++t, ++row) {
-        for (std::int64_t c = 0; c < a.cols(); ++c) {
-          stacked.at(row, c) = a.at(t, c);
+    if (!unfused) {
+      stacked = gemm::Mat32(total_t, head.shape.n);
+      for (const std::size_t i : members) {
+        const gemm::Mat32& a = batch.requests[i].a;
+        for (std::int64_t t = 0; t < a.rows(); ++t, ++row) {
+          for (std::int64_t c = 0; c < a.cols(); ++c) {
+            stacked.at(row, c) = a.at(t, c);
+          }
         }
       }
     }
 
     engine::GemmRequest run_request;
-    run_request.a = &stacked;
+    run_request.a = unfused ? &head.a : &stacked;
     run_request.b = head.b.get();
     run_request.k = k;
     run_request.want_output = want_output;
-    const engine::RunResult run = engine->run_gemm(run_request);
+    engine::RunResult run = engine->run_gemm(run_request);
     batch_time_ps += run.cost.time_ps;
     batch_energy_pj += run.cost.energy_pj;
 
@@ -1268,14 +1279,17 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
       }
     }
 
-    // Unstack the fused product (when computed).  Energy is attributed by
+    // Unstack the fused product (when computed); an unfused run's product
+    // is the request's own and moves over whole.  Energy is attributed by
     // each request's share of the fused rows; completion (and thus
     // simulated service time) is the whole fused run for every member.
     row = 0;
     for (const std::size_t i : members) {
       const Request& r = batch.requests[i];
       GemmResult& result = results[i];
-      if (run.out.has_value() && r.want_output) {
+      if (unfused && run.out.has_value()) {
+        result.out = *std::move(run.out);
+      } else if (run.out.has_value() && r.want_output) {
         result.out = gemm::Mat64(r.shape.t, r.shape.m);
         for (std::int64_t t = 0; t < r.shape.t; ++t, ++row) {
           for (std::int64_t c = 0; c < r.shape.m; ++c) {

@@ -572,6 +572,13 @@ class Server {
   bool serving_paused() const {
     return paused_.load(std::memory_order_acquire);
   }
+  // Shard workers napping in the stall failpoint right now.  A parked
+  // worker holds no batch and picks up none until the pause lifts, so a
+  // caller can wait for this to reach the worker count instead of
+  // guessing with a sleep.
+  int parked_workers() const {
+    return parked_.load(std::memory_order_acquire);
+  }
 
  private:
   struct Shard;
@@ -739,6 +746,7 @@ class Server {
   std::atomic<std::int64_t> unserved_{0};
   std::atomic<std::int64_t> promise_double_sets_{0};
   std::atomic<bool> paused_{false};  // the stall failpoint (pause_serving)
+  std::atomic<int> parked_{0};       // workers napping in it
   // Set by quiesce() BEFORE it releases workers: a worker seeing it exits
   // without calling next_batch again, so queued work stays in the
   // dispatcher for the kUnavailable strand — never half-served on the way

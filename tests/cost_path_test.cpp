@@ -13,11 +13,15 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/sparse.h"
 #include "engine/cost_cache.h"
 #include "engine/engine.h"
+#include "gemm/matrix.h"
+#include "gemm/reference.h"
+#include "mem/tile_scheduler.h"
 #include "serve/server.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -160,6 +164,83 @@ TEST(CostPathTest, SharedCacheKeysOnConfigAndEnergy) {
   const CostEstimate priced = pricier->evaluate_cached(shape, 2);
   EXPECT_TRUE(exactly_equal(priced, pricier->evaluate(shape, 2)));
   EXPECT_NE(priced.energy_pj, first.energy_pj);
+}
+
+// --- run pricing: run_gemm's dense cost is the memoized evaluate -----------
+
+TEST(CostPathTest, RunPricingEqualsEvaluateOnMissAndHit) {
+  // Memory hierarchy on, so every miss prices a real DMA plan.
+  arch::ArrayConfig cfg = config_for(8, 8);
+  cfg.mem.enabled = true;
+  auto cache = std::make_shared<CostCache>();
+  auto engine =
+      EngineBuilder().config(cfg).cost_cache(cache).build("analytic");
+  auto reference = EngineBuilder().config(cfg).build("analytic");
+  Rng rng(505);
+  const std::vector<std::pair<int, gemm::GemmShape>> cases = {
+      {2, {24, 40, 12}}, {0, {40, 24, 9}}, {1, {17, 33, 1}}};
+  for (const auto& [k, shape] : cases) {
+    const gemm::Mat32 a =
+        gemm::random_matrix(rng, shape.t, shape.n, -100, 100);
+    const gemm::Mat32 b =
+        gemm::random_matrix(rng, shape.n, shape.m, -100, 100);
+    GemmRequest request;
+    request.a = &a;
+    request.b = &b;
+    request.k = k;
+    const CostEstimate want = reference->evaluate(shape, k);
+
+    const std::int64_t misses_before = cache->misses();
+    const RunResult miss = engine->run_gemm(request);
+    EXPECT_TRUE(exactly_equal(miss.cost, want)) << "miss, k=" << k;
+    EXPECT_GT(cache->misses(), misses_before) << "k=" << k;
+
+    const std::int64_t hits_before = cache->hits();
+    const std::int64_t misses_after = cache->misses();
+    const RunResult hit = engine->run_gemm(request);
+    EXPECT_TRUE(exactly_equal(hit.cost, want)) << "hit, k=" << k;
+    EXPECT_GT(cache->hits(), hits_before) << "k=" << k;
+    EXPECT_EQ(cache->misses(), misses_after) << "k=" << k;
+
+    ASSERT_TRUE(miss.out.has_value() && hit.out.has_value());
+    const gemm::Mat64 product = gemm::reference_gemm(a, b);
+    EXPECT_EQ(gemm::first_mismatch(*miss.out, product), "") << "k=" << k;
+    EXPECT_EQ(gemm::first_mismatch(*hit.out, product), "") << "k=" << k;
+  }
+}
+
+TEST(CostPathTest, ShrunkScratchpadEnginePricesItsOwnPlanFromASharedCache) {
+  // The serving degrade engine's situation: same array, scratchpad shrunk
+  // to the shape's minimum, one cache shared with the full-size engine.
+  // Its fingerprint differs, so its run prices its own DMA plan — never
+  // the full engine's cached entry.
+  arch::ArrayConfig full = config_for(8, 8);
+  full.mem.enabled = true;
+  const gemm::GemmShape shape{64, 64, 16};
+  arch::ArrayConfig shrunk = full;
+  shrunk.mem.spad_bytes =
+      mem::TileScheduler(full).min_spad_bytes(shape, full.mem.reuse);
+  auto cache = std::make_shared<CostCache>();
+  auto wide = EngineBuilder().config(full).cost_cache(cache).build("analytic");
+  auto narrow =
+      EngineBuilder().config(shrunk).cost_cache(cache).build("analytic");
+  ASSERT_NE(wide->cost_fingerprint(), narrow->cost_fingerprint());
+
+  Rng rng(606);
+  const gemm::Mat32 a = gemm::random_matrix(rng, shape.t, shape.n, -9, 9);
+  const gemm::Mat32 b = gemm::random_matrix(rng, shape.n, shape.m, -9, 9);
+  GemmRequest request;
+  request.a = &a;
+  request.b = &b;
+  request.k = 2;
+  request.want_output = false;
+  const RunResult wide_run = wide->run_gemm(request);
+  const RunResult narrow_run = narrow->run_gemm(request);
+  EXPECT_TRUE(exactly_equal(wide_run.cost, wide->evaluate(shape, 2)));
+  EXPECT_TRUE(exactly_equal(narrow_run.cost, narrow->evaluate(shape, 2)));
+  EXPECT_FALSE(exactly_equal(narrow_run.cost, wide_run.cost));
+  EXPECT_GT(narrow_run.cost.dram_bytes, wide_run.cost.dram_bytes);
+  EXPECT_FALSE(narrow_run.out.has_value());
 }
 
 }  // namespace

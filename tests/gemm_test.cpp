@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gemm/matrix.h"
+#include "gemm/multiply.h"
 #include "gemm/quantize.h"
 #include "gemm/reference.h"
 #include "gemm/tiling.h"
@@ -92,6 +95,63 @@ TEST(ReferenceGemmTest, ModularAccumulationWraps) {
       static_cast<std::uint64_t>(std::int64_t{std::numeric_limits<std::int32_t>::max()} *
                                  std::numeric_limits<std::int32_t>::max());
   EXPECT_EQ(static_cast<std::uint64_t>(x.at(0, 0)), p * 4u);
+  EXPECT_EQ(multiply(a, b), x);
+}
+
+// --- the production product kernel against the reference oracle ---------
+
+TEST(ProductKernelTest, MatchesReferenceBitForBitOnRandomShapes) {
+  // T straddles the 4-row block, M the 8-lane chunk (pure tail, chunk plus
+  // tail, several chunks), N = 1 is a single rank-one update; full-range
+  // operands make the 64-bit sums wrap as often as not.
+  Rng rng(1409);
+  for (const std::int64_t t : {1, 3, 4, 5, 17}) {
+    for (const std::int64_t m : {1, 7, 8, 9, 33}) {
+      for (const std::int64_t n : {1, 2, 16, 65}) {
+        const Mat32 a =
+            random_matrix(rng, t, n, std::numeric_limits<std::int32_t>::min(),
+                          std::numeric_limits<std::int32_t>::max());
+        const Mat32 b =
+            random_matrix(rng, n, m, std::numeric_limits<std::int32_t>::min(),
+                          std::numeric_limits<std::int32_t>::max());
+        EXPECT_EQ(first_mismatch(multiply(a, b), reference_gemm(a, b)), "")
+            << "T=" << t << " M=" << m << " N=" << n;
+      }
+    }
+  }
+}
+
+TEST(ProductKernelTest, ModularAccumulationWrapsLikeTheOracle) {
+  // INT32_MIN^2 = 2^62, so nine of them sum to 9 * 2^62, which wraps to
+  // 2^62; INT32_MIN * INT32_MAX terms wrap the other way.  T = 5 and M = 9
+  // put elements in both the blocked rows and the tail row, the vector
+  // chunk and the scalar tail.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t n = 9;
+  Mat32 a(5, n, kMin);
+  Mat32 b(n, 9, kMin);
+  for (std::int64_t k = 0; k < n; ++k) b.at(k, 8) = kMax;
+  const Mat64 x = multiply(a, b);
+  EXPECT_EQ(first_mismatch(x, reference_gemm(a, b)), "");
+  const std::uint64_t min_min =
+      static_cast<std::uint64_t>(std::int64_t{kMin} * kMin);
+  const std::uint64_t min_max =
+      static_cast<std::uint64_t>(std::int64_t{kMin} * kMax);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    for (std::int64_t c = 0; c < 8; ++c) {
+      EXPECT_EQ(static_cast<std::uint64_t>(x.at(r, c)), min_min * 9u);
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(x.at(r, 8)), min_max * 9u);
+  }
+}
+
+TEST(ProductKernelTest, EmptyDimensionsAndInnerMismatch) {
+  EXPECT_THROW(multiply(Mat32(2, 3), Mat32(4, 2)), Error);
+  EXPECT_EQ(multiply(Mat32(0, 3), Mat32(3, 4)), Mat64(0, 4));
+  EXPECT_EQ(multiply(Mat32(2, 3), Mat32(3, 0)), Mat64(2, 0));
+  // N = 0: an empty reduction leaves every output zero.
+  EXPECT_EQ(multiply(Mat32(2, 0), Mat32(0, 3)), Mat64(2, 3));
 }
 
 TEST(MacModTest, MatchesWideArithmetic) {

@@ -545,6 +545,18 @@ TEST_F(ServeChaosTest, QuarantineBenchesFaultyShardsAndRecoversThem) {
 
 // ---- server-scoped failpoints (the fleet layer's crash/stall hooks) -------
 
+// Polls until `workers` shard workers nap in the stall failpoint; false if
+// that takes longer than a generous bound.
+bool wait_parked(const Server& server, int workers) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.parked_workers() < workers) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
+}
+
 TEST_F(ServeChaosTest, PauseServingStallsPickupUntilResumed) {
   ServerOptions opts;
   opts.num_shards = 1;
@@ -561,7 +573,7 @@ TEST_F(ServeChaosTest, PauseServingStallsPickupUntilResumed) {
   // everything after this provably sits in the queue.
   auto parked = server.submit_gemm(
       "stall", gemm::random_matrix(rng, 1, 16, -5, 5), weights);
-  std::this_thread::sleep_for(milliseconds(30));
+  ASSERT_TRUE(wait_parked(server, 1));
 
   gemm::Mat32 a = gemm::random_matrix(rng, 2, 16, -10, 10);
   const gemm::Mat64 want = gemm::reference_gemm(a, *weights);
@@ -594,7 +606,7 @@ TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
   server.pause_serving(true);
   auto parked = server.submit_gemm(
       "doomed", gemm::random_matrix(rng, 1, 16, -5, 5), weights);
-  std::this_thread::sleep_for(milliseconds(30));
+  ASSERT_TRUE(wait_parked(server, 1));
   std::vector<std::future<GemmResult>> queued;
   for (int i = 0; i < 5; ++i) {
     queued.push_back(server.submit_gemm(
@@ -652,14 +664,16 @@ std::optional<ErrorCode> refusal(Submit&& submit) {
 // Pauses a one-shard server so that it holds exactly one queued GEMM and
 // returns that request's future.  A worker already blocked in next_batch
 // when the pause lands still grabs ONE batch before it naps, so a
-// sacrificial request goes first; when the worker takes it, the next
-// request is the one held.
+// sacrificial request goes first; once the worker is parked, the
+// sacrificial request is either served (then the next request is the one
+// held) or still queued (then it is).
 std::future<GemmResult> hold_one(Server& server, Rng& rng,
                                  const std::shared_ptr<gemm::Mat32>& w) {
   server.pause_serving(true);
   auto first =
       server.submit_gemm("held", gemm::random_matrix(rng, 1, 16, -5, 5), w);
-  if (first.wait_for(milliseconds(200)) != std::future_status::ready) {
+  EXPECT_TRUE(wait_parked(server, 1));
+  if (first.wait_for(milliseconds(0)) != std::future_status::ready) {
     return first;  // the worker napped before taking it
   }
   first.get();
