@@ -158,7 +158,7 @@ class RequestQueue {
   // everything currently queued, mirrored like approx_size.  This is the
   // simulated-hardware-pressure signal — two queues of equal depth can
   // differ by orders of magnitude in how long a shard needs to drain them —
-  // consumed by the backlog_cost autoscale signal and exported through
+  // consumed by the PressureSample MAC term and exported through
   // ServerStats for the fleet router's power-of-two-choices placement.
   std::int64_t approx_cost() const {
     return approx_cost_.load(std::memory_order_relaxed);
@@ -167,7 +167,7 @@ class RequestQueue {
   // Lock-free BACKLOG-BYTES hint: the summed Request::drr_bytes (projected
   // DRAM traffic) of everything currently queued, mirrored like
   // approx_cost.  The bandwidth-pressure signal: consumed by the
-  // backlog_bytes autoscale signal and the byte-budgeted batch assembly —
+  // PressureSample byte term and the byte-budgeted batch assembly —
   // a backlog can be compute-light yet saturate the DRAM pins.
   std::int64_t approx_bytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);

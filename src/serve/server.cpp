@@ -49,6 +49,13 @@ std::int64_t slice_macs(const nn::Model& model, std::size_t first,
   return macs;
 }
 
+// The overload band: enter on the first hot tick, exit after two ticks
+// at or below half the entry limits (the dead zone between stops a
+// borderline load from flapping admission decisions).
+constexpr int kOverloadEnterPatience = 1;
+constexpr int kOverloadExitPatience = 2;
+constexpr double kOverloadExitFraction = 0.5;
+
 }  // namespace
 
 OverloadPolicy parse_overload_policy(const std::string& name) {
@@ -82,102 +89,6 @@ std::string overload_policy_description(const std::string& name) {
              "requests keep bounded waits";
   }
   return {};  // unreachable
-}
-
-bool OverloadDetector::update(double depth_per_shard_now,
-                              double wait_p99_ms_now,
-                              double backlog_bytes_per_shard_now) {
-  // The byte trip participates only when configured (threshold > 0).
-  const bool bytes_hot = backlog_bytes_per_shard > 0.0 &&
-                         backlog_bytes_per_shard_now >= backlog_bytes_per_shard;
-  const bool hot = depth_per_shard_now >= depth_per_shard ||
-                   wait_p99_ms_now >= wait_p99_ms || bytes_hot;
-  // Exit only once ALL signals sit below half their enter thresholds —
-  // the band between is the dead zone, so a load hovering at the trip
-  // point cannot flap admission decisions tick to tick.
-  const bool cool = depth_per_shard_now <= 0.5 * depth_per_shard &&
-                    wait_p99_ms_now <= 0.5 * wait_p99_ms &&
-                    (backlog_bytes_per_shard == 0.0 ||
-                     backlog_bytes_per_shard_now <=
-                         0.5 * backlog_bytes_per_shard);
-  if (!overloaded) {
-    if (hot) {
-      exit_streak = 0;
-      if (++enter_streak >= enter_patience) {
-        overloaded = true;
-        enter_streak = 0;
-      }
-    } else {
-      enter_streak = 0;
-    }
-  } else {
-    if (cool) {
-      enter_streak = 0;
-      if (++exit_streak >= exit_patience) {
-        overloaded = false;
-        exit_streak = 0;
-      }
-    } else {
-      exit_streak = 0;
-    }
-  }
-  return overloaded;
-}
-
-AutoscaleSignal parse_autoscale_signal(const std::string& name) {
-  if (name == "wait_p99") return AutoscaleSignal::kWaitP99;
-  if (name == "backlog_cost") return AutoscaleSignal::kBacklogCost;
-  if (name == "backlog_bytes") return AutoscaleSignal::kBacklogBytes;
-  AF_CHECK(false, "unknown autoscale signal \""
-                      << name
-                      << "\" (registered: \"backlog_bytes\", \"backlog_cost\", "
-                         "\"wait_p99\")");
-  return AutoscaleSignal::kWaitP99;  // unreachable
-}
-
-int AutoscalePolicy::decide(int live, double depth_per_shard,
-                            double wait_p99_ms,
-                            double backlog_macs_per_shard,
-                            double backlog_bytes_per_shard) {
-  // The depth term participates under every signal; the latency term is
-  // the wall-clock wait, the queued simulated work, or the queued DRAM
-  // traffic, per `signal`.
-  bool lat_hot = false;
-  bool lat_cool = false;
-  switch (signal) {
-    case AutoscaleSignal::kBacklogCost:
-      lat_hot = backlog_macs_per_shard >= grow_backlog_macs_per_shard;
-      lat_cool = backlog_macs_per_shard <= shrink_backlog_macs_per_shard;
-      break;
-    case AutoscaleSignal::kBacklogBytes:
-      lat_hot = backlog_bytes_per_shard >= grow_backlog_bytes_per_shard;
-      lat_cool = backlog_bytes_per_shard <= shrink_backlog_bytes_per_shard;
-      break;
-    case AutoscaleSignal::kWaitP99:
-      lat_hot = wait_p99_ms >= grow_wait_p99_ms;
-      lat_cool = wait_p99_ms <= shrink_wait_p99_ms;
-      break;
-  }
-  const bool pressure = depth_per_shard >= grow_depth_per_shard || lat_hot;
-  const bool idle = depth_per_shard <= shrink_depth_per_shard && lat_cool;
-  if (pressure) {
-    shrink_streak = 0;
-    if (++grow_streak >= grow_patience) {
-      grow_streak = 0;
-      if (live < max_shards) return live + 1;
-    }
-  } else if (idle) {
-    grow_streak = 0;
-    if (++shrink_streak >= shrink_patience) {
-      shrink_streak = 0;
-      if (live > min_shards) return live - 1;
-    }
-  } else {
-    // Dead zone between the bands: both streaks reset, nothing moves.
-    grow_streak = 0;
-    shrink_streak = 0;
-  }
-  return live;
 }
 
 std::int64_t ServerStats::audit_runs() const {
@@ -248,14 +159,10 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
            "autoscale_interval_ms must be positive");
   AF_CHECK(options_.grow_patience >= 1 && options_.shrink_patience >= 1,
            "autoscale patience must be at least one tick");
+  options_.grow.validate("grow", true);
+  options_.shrink.validate("shrink", false);
+  options_.overload.validate("overload", true);
   overload_policy_ = parse_overload_policy(options_.overload_policy);
-  AF_CHECK(options_.overload_depth_per_shard > 0.0,
-           "overload_depth_per_shard must be positive");
-  AF_CHECK(options_.overload_wait_p99_ms > 0.0,
-           "overload_wait_p99_ms must be positive");
-  AF_CHECK(options_.overload_enter_patience >= 1 &&
-               options_.overload_exit_patience >= 1,
-           "overload patience must be at least one tick");
   AF_CHECK(options_.max_retries >= 0, "max_retries must be non-negative");
   AF_CHECK(options_.retry_backoff_base_ms >= 0.0 &&
                options_.retry_backoff_max_ms >= 0.0,
@@ -264,17 +171,14 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
            "quarantine_after_faults must be non-negative");
   AF_CHECK(options_.quarantine_probe_interval_ms > 0.0,
            "quarantine_probe_interval_ms must be positive");
-  AF_CHECK(options_.overload_backlog_bytes_per_shard >= 0.0,
-           "overload_backlog_bytes_per_shard must be non-negative");
   AF_CHECK(options_.degrade_spad_fraction > 0.0 &&
                options_.degrade_spad_fraction <= 1.0,
            "degrade_spad_fraction must be in (0, 1]");
-  detector_.depth_per_shard = options_.overload_depth_per_shard;
-  detector_.wait_p99_ms = options_.overload_wait_p99_ms;
-  detector_.backlog_bytes_per_shard =
-      options_.overload_backlog_bytes_per_shard;
-  detector_.enter_patience = options_.overload_enter_patience;
-  detector_.exit_patience = options_.overload_exit_patience;
+  scale_band_ = {options_.grow, options_.shrink, options_.grow_patience,
+                 options_.shrink_patience};
+  overload_band_ = {options_.overload,
+                    options_.overload.scaled(kOverloadExitFraction),
+                    kOverloadEnterPatience, kOverloadExitPatience};
   // The control thread exists for either consumer of the pressure window:
   // the autoscaler, or a non-"block" overload policy.
   control_enabled_ =
@@ -328,29 +232,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
   dispatch.live_shards = options_.num_shards;
   dispatch.can_scale = autoscale_enabled_;
   dispatcher_ = make_dispatcher(options_.dispatcher, dispatch);
-
-  policy_.min_shards = min_shards_;
-  policy_.max_shards = max_shards_;
-  policy_.grow_depth_per_shard = options_.grow_depth_per_shard;
-  policy_.grow_wait_p99_ms = options_.grow_wait_p99_ms;
-  policy_.shrink_depth_per_shard = options_.shrink_depth_per_shard;
-  policy_.shrink_wait_p99_ms = options_.shrink_wait_p99_ms;
-  policy_.grow_patience = options_.grow_patience;
-  policy_.shrink_patience = options_.shrink_patience;
-  policy_.signal = parse_autoscale_signal(options_.autoscale_signal);
-  AF_CHECK(options_.grow_backlog_macs_per_shard > 0.0 &&
-               options_.shrink_backlog_macs_per_shard >= 0.0,
-           "backlog_cost autoscale thresholds must be positive");
-  policy_.grow_backlog_macs_per_shard = options_.grow_backlog_macs_per_shard;
-  policy_.shrink_backlog_macs_per_shard =
-      options_.shrink_backlog_macs_per_shard;
-  AF_CHECK(options_.grow_backlog_bytes_per_shard > 0.0 &&
-               options_.shrink_backlog_bytes_per_shard >= 0.0,
-           "backlog_bytes autoscale thresholds must be positive");
-  policy_.grow_backlog_bytes_per_shard =
-      options_.grow_backlog_bytes_per_shard;
-  policy_.shrink_backlog_bytes_per_shard =
-      options_.shrink_backlog_bytes_per_shard;
 
   shards_.reserve(static_cast<std::size_t>(max_shards_));
   for (int i = 0; i < max_shards_; ++i) {
@@ -482,24 +363,18 @@ void Server::control_loop() {
   while (!scale_cv_.wait_for(lock, interval,
                              [this] { return shut_down_.load(); })) {
     const int live = live_shards_.load();
-    const double depth = static_cast<double>(dispatcher_->depth());
-    // One drain per tick feeds BOTH consumers — drain() empties the
-    // window, so detector and autoscaler must share the sample.
-    const LatencyWindow::Stats waits = wait_window_.drain();
-    const double depth_per_shard = depth / static_cast<double>(live);
-    const double bytes_per_shard =
-        static_cast<double>(dispatcher_->approx_bytes()) /
-        static_cast<double>(live);
+    // One drain per tick feeds BOTH bands — drain() empties the window.
+    const PressureSample sample =
+        pressure(static_cast<double>(dispatcher_->depth()),
+                 wait_window_.drain().p99_ms);
     if (overload_policy_ != OverloadPolicy::kBlock) {
-      overloaded_.store(
-          detector_.update(depth_per_shard, waits.p99_ms, bytes_per_shard));
+      if (const int move = overload_band_.step(sample)) {
+        overloaded_.store(move > 0);
+      }
     }
     if (autoscale_enabled_) {
-      const double backlog_per_shard =
-          static_cast<double>(dispatcher_->approx_cost()) /
-          static_cast<double>(live);
-      const int want = policy_.decide(live, depth_per_shard, waits.p99_ms,
-                                      backlog_per_shard, bytes_per_shard);
+      const int want = std::clamp(live + scale_band_.step(sample),
+                                  min_shards_, max_shards_);
       if (want > live) {
         grow_to(want);
       } else if (want < live) {
@@ -509,21 +384,18 @@ void Server::control_loop() {
   }
 }
 
+PressureSample Server::pressure(double depth, double wait_p99_ms) const {
+  const double live = std::max(1, live_shards_.load());
+  return {depth / live, wait_p99_ms,
+          static_cast<double>(dispatcher_->approx_cost()) / live,
+          static_cast<double>(dispatcher_->approx_bytes()) / live};
+}
+
 bool Server::under_pressure() const {
-  if (overloaded_.load(std::memory_order_relaxed)) return true;
-  const int live = std::max(1, live_shards_.load());
-  if (static_cast<double>(dispatcher_->approx_depth()) >=
-      options_.overload_depth_per_shard * static_cast<double>(live)) {
-    return true;
-  }
-  // Bandwidth pressure: queued projected DRAM traffic past the byte
-  // threshold trips admission control even at modest request counts (a few
-  // giant GEMMs can saturate the memory system long before the depth
-  // check fires).  Off when the threshold is 0.
-  return options_.overload_backlog_bytes_per_shard > 0.0 &&
-         static_cast<double>(dispatcher_->approx_bytes()) >=
-             options_.overload_backlog_bytes_per_shard *
-                 static_cast<double>(live);
+  // No wait term: only the control tick sees the window's p99.
+  return overloaded_.load(std::memory_order_relaxed) ||
+         options_.overload.hot(
+             pressure(static_cast<double>(dispatcher_->approx_depth()), 0.0));
 }
 
 void Server::grow_to(int want) {

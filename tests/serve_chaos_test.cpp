@@ -241,28 +241,33 @@ TEST(RequestQueueRobustnessTest, ReaperRemovesOnlyOverdueRequests) {
 // ---- overload detector ----------------------------------------------------
 
 TEST(OverloadDetectorTest, EntersAfterPatienceAndExitsInTheDeadZoneNever) {
-  OverloadDetector d;
-  d.depth_per_shard = 10.0;
-  d.wait_p99_ms = 50.0;
-  d.enter_patience = 2;
-  d.exit_patience = 3;
+  // The overload detector as the server runs it: a band whose exit limits
+  // are half its entry limits, latched on the band's moves.
+  const PressureLimits enter{10.0, 50.0};
+  PressureBand band{enter, enter.scaled(0.5), /*up_patience=*/2,
+                    /*down_patience=*/3};
+  bool overloaded = false;
+  const auto update = [&](double depth, double wait) {
+    if (const int move = band.step({depth, wait})) overloaded = move > 0;
+    return overloaded;
+  };
 
-  EXPECT_FALSE(d.update(12.0, 0.0));  // first hot tick: not yet
-  EXPECT_TRUE(d.update(0.0, 60.0));   // second hot tick (either signal)
+  EXPECT_FALSE(update(12.0, 0.0));  // first hot tick: not yet
+  EXPECT_TRUE(update(0.0, 60.0));   // second hot tick (either signal)
   // The dead zone (between half and full thresholds) holds the state.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(d.update(7.0, 30.0)) << i;
+    EXPECT_TRUE(update(7.0, 30.0)) << i;
   }
   // Exit needs BOTH signals below half threshold for exit_patience ticks.
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_FALSE(d.update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_FALSE(update(1.0, 1.0));
   // A single hot tick mid-exit resets the streak.
-  EXPECT_FALSE(d.update(12.0, 0.0));
-  EXPECT_TRUE(d.update(12.0, 0.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(11.0, 0.0));  // streak broken: still overloaded
+  EXPECT_FALSE(update(12.0, 0.0));
+  EXPECT_TRUE(update(12.0, 0.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(11.0, 0.0));  // streak broken: still overloaded
 }
 
 TEST(OverloadPolicyTest, RegistryNamesParseAndDescribe) {
@@ -367,8 +372,8 @@ TEST_F(ServeChaosTest, RejectPolicyShedsUnderPressureAndServesTheRest) {
   opts.chaos.delay_rate = 1.0;  // every run sleeps — a slow engine
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "reject";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;  // only the instantaneous depth trips
+  opts.overload.depth_per_shard = 1.0;
+  opts.overload.wait_p99_ms = 1e9;  // only the instantaneous depth trips
   Server server(shard16(), opts);
 
   Rng rng(5);
@@ -406,8 +411,8 @@ TEST_F(ServeChaosTest, DegradePolicyServesCostOnlyUnderPressureThenRecovers) {
   opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;
+  opts.overload.depth_per_shard = 1.0;
+  opts.overload.wait_p99_ms = 1e9;
   Server server(shard16(), opts);
 
   Rng rng(6);
@@ -733,8 +738,8 @@ TEST_F(ServeChaosTest, EveryEntryPointRefusesAlike) {
   {  // "reject" under pressure: one queued request trips the depth check.
     ServerOptions opts = base;
     opts.overload_policy = "reject";
-    opts.overload_depth_per_shard = 1.0;
-    opts.overload_wait_p99_ms = 1e9;  // only the instantaneous depth trips
+    opts.overload.depth_per_shard = 1.0;
+    opts.overload.wait_p99_ms = 1e9;  // only the instantaneous depth trips
     Server server(shard16(), opts);
     auto held = hold_one(server, rng, weights);
     const std::int64_t submitted = server.stats().submitted;

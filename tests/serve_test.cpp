@@ -8,11 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/clocking.h"
@@ -317,6 +320,59 @@ TEST(DispatcherRegistryTest, RejectsBadBatchLimitsTyped) {
       }
     }
   }
+}
+
+TEST(DispatcherTest, GlobalMatchesSingleShardStealingBatchForBatch) {
+  // On one shard the stealing dispatcher is one DRR deque, like "global":
+  // no victims to steal from, no other deques to top up from.  One push
+  // sequence — three tenants of different cost, mixed modes, one shared
+  // weight, one overdue deadline — must come out as the same batches, id
+  // by id, with the same expiries.
+  const auto weight = std::make_shared<const gemm::Mat32>(4, 4);
+  using Trace = std::vector<std::pair<std::vector<std::uint64_t>,
+                                      std::vector<std::uint64_t>>>;
+  const auto ids = [](const std::vector<Request>& requests) {
+    std::vector<std::uint64_t> out;
+    for (const Request& r : requests) out.push_back(r.id);
+    return out;
+  };
+  const auto trace = [&](const std::string& name) {
+    DispatcherOptions opts;
+    opts.max_shards = 1;
+    opts.live_shards = 1;
+    opts.can_scale = false;
+    opts.max_batch = 3;
+    opts.drr_quantum = 100;
+    const std::unique_ptr<Dispatcher> d = make_dispatcher(name, opts);
+    const std::vector<std::pair<std::string, std::int64_t>> tenants = {
+        {"small", 40}, {"medium", 100}, {"large", 250}};
+    for (std::uint64_t id = 0; id < 18; ++id) {
+      const auto& [tenant, cost] = tenants[id % tenants.size()];
+      Request r = make_tenant_request(id, tenant, cost);
+      r.decided_k = (id % 4 == 1) ? 2 : 1;
+      if (id % 3 != 2) r.b = weight;
+      if (id == 7) r.deadline = Clock::now() - std::chrono::milliseconds(1);
+      EXPECT_TRUE(d->submit(std::move(r))) << name << " refused " << id;
+    }
+    d->close();
+    Trace out;
+    while (std::optional<Batch> batch = d->next_batch(0)) {
+      out.emplace_back(ids(batch->requests), ids(batch->expired));
+    }
+    return out;
+  };
+  const Trace global = trace("global");
+  EXPECT_EQ(global, trace("stealing"));
+  // The sequence exercised what it claims: batching and the reaper.
+  std::size_t served = 0;
+  std::size_t expired = 0;
+  for (const auto& [requests, reaped] : global) {
+    served += requests.size();
+    expired += reaped.size();
+  }
+  EXPECT_EQ(served, 17u);
+  EXPECT_EQ(expired, 1u);
+  EXPECT_LT(global.size(), 17u) << "nothing coalesced";
 }
 
 TEST(DispatcherTest, StealingRoutesByAffinityAndStealsWholeRounds) {
@@ -1160,12 +1216,22 @@ TEST(LatencyWindowTest, NearestRankP99RoundsUpOnSmallWindows) {
   EXPECT_EQ(window.drain().p99_ms, 198.0);
 }
 
+// The autoscaler as the server runs it: the grow/shrink band's move,
+// clamped to the shard bounds.
+struct Autoscaler {
+  PressureBand band;
+  int min_shards = 1;
+  int max_shards = 4;
+
+  int decide(int live, const PressureSample& s) {
+    return std::clamp(live + band.step(s), min_shards, max_shards);
+  }
+};
+
 TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
+  const ServerOptions defaults;
+  Autoscaler policy{{defaults.grow, defaults.shrink, /*up_patience=*/3,
+                     /*down_patience=*/3}};
 
   // A square wave faster than either patience: pressure, idle, pressure,
   // idle...  Each flank resets the opposite streak, so the pool must not
@@ -1173,14 +1239,14 @@ TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double depth = (tick % 2 == 0) ? 100.0 : 0.0;
-    const int want = policy.decide(live, depth, /*wait_p99_ms=*/0.0);
+    const int want = policy.decide(live, {depth, /*wait_p99_ms=*/0.0});
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
   // Sustained pressure grows — one shard per grow_patience ticks, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/100.0, 0.0);
+    live = policy.decide(live, {/*depth_per_shard=*/100.0, 0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1188,17 +1254,17 @@ TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
   // Sustained idle shrinks the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/0.0, 0.0);
+    live = policy.decide(live, {/*depth_per_shard=*/0.0, 0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
   // The p99 wait signal alone also counts as pressure.
   live = 1;
-  policy.grow_streak = 0;
+  policy.band.hot_streak = 0;
   for (int tick = 0; tick < 3; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/0.0,
-                         /*wait_p99_ms=*/1e3);
+    live = policy.decide(live, {/*depth_per_shard=*/0.0,
+                                /*wait_p99_ms=*/1e3});
   }
   EXPECT_EQ(live, 2);
 }
@@ -1207,28 +1273,22 @@ TEST(AutoscalePolicyTest, BacklogCostSquareWaveDoesNotFlapEither) {
   // The hardware-pressure signal obeys the same hysteresis contract as
   // wait_p99: a square wave of queued MACs faster than either patience
   // never moves the pool, sustained pressure walks it one shard per
-  // patience window.
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
-  policy.signal = AutoscaleSignal::kBacklogCost;
-  policy.grow_backlog_macs_per_shard = 1e6;
-  policy.shrink_backlog_macs_per_shard = 1e5;
+  // patience window.  A MAC-watching band turns the wait term off.
+  Autoscaler policy{{/*grow=*/{4.0, 0.0, 1e6}, /*shrink=*/{0.5, 1.0, 1e5},
+                     /*up_patience=*/3, /*down_patience=*/3}};
 
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double backlog = (tick % 2 == 0) ? 5e6 : 0.0;
-    const int want = policy.decide(live, /*depth_per_shard=*/0.0,
-                                   /*wait_p99_ms=*/0.0, backlog);
+    const int want = policy.decide(live, {/*depth_per_shard=*/0.0,
+                                          /*wait_p99_ms=*/0.0, backlog});
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
   // Sustained backlog grows one shard per grow_patience ticks, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, /*backlog_macs_per_shard=*/5e6);
+    live = policy.decide(live, {0.0, 0.0, /*backlog_macs_per_shard=*/5e6});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1236,28 +1296,22 @@ TEST(AutoscalePolicyTest, BacklogCostSquareWaveDoesNotFlapEither) {
   // Sustained idle shrinks the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, /*backlog_macs_per_shard=*/0.0);
+    live = policy.decide(live, {0.0, 0.0, /*backlog_macs_per_shard=*/0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
-  // Under kBacklogCost the wall-clock wait term is ignored: an enormous
+  // With the wait term off the wall-clock wait is ignored: an enormous
   // p99 with an idle backlog is simulation-host noise, not array pressure.
   live = 2;
-  policy.grow_streak = 0;
-  policy.shrink_streak = 0;
+  policy.band.hot_streak = 0;
+  policy.band.cool_streak = 0;
   for (int tick = 0; tick < 3; ++tick) {
-    const int want = policy.decide(live, 0.0, /*wait_p99_ms=*/1e3,
-                                   /*backlog_macs_per_shard=*/0.0);
+    const int want = policy.decide(live, {0.0, /*wait_p99_ms=*/1e3,
+                                          /*backlog_macs_per_shard=*/0.0});
     EXPECT_LE(want, live) << "wall-clock wait moved a backlog_cost pool up";
     live = want;
   }
-
-  // And the registry round-trip both signal names resolve through.
-  EXPECT_EQ(parse_autoscale_signal("wait_p99"), AutoscaleSignal::kWaitP99);
-  EXPECT_EQ(parse_autoscale_signal("backlog_cost"),
-            AutoscaleSignal::kBacklogCost);
-  EXPECT_THROW(parse_autoscale_signal("queue_depth"), Error);
 }
 
 TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
@@ -1269,7 +1323,7 @@ TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
   opts.backend = "cycle";  // slow enough that a burst builds real depth
   opts.max_batch = 1;
   opts.autoscale_interval_ms = 5.0;
-  opts.grow_depth_per_shard = 2.0;
+  opts.grow.depth_per_shard = 2.0;
   opts.grow_patience = 1;
   opts.shrink_patience = 2;
   Server server(shard16(), opts);
@@ -1331,7 +1385,7 @@ TEST_F(ServeTest, AutoscaleStressNeverDropsOrDoubleServesAcrossScaleEvents) {
   opts.dispatcher = "stealing";
   opts.backend = "cycle";
   opts.autoscale_interval_ms = 2.0;
-  opts.grow_depth_per_shard = 2.0;
+  opts.grow.depth_per_shard = 2.0;
   opts.grow_patience = 1;
   opts.shrink_patience = 2;
   Server server(shard16(), opts);
@@ -1465,27 +1519,22 @@ TEST(BatchSchedulerTest, ByteBudgetCapsRidersButTheHeadAlwaysDispatches) {
 }
 
 TEST(AutoscalePolicyTest, BacklogBytesSignalFollowsTheSameHysteresis) {
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
-  policy.signal = AutoscaleSignal::kBacklogBytes;
-  policy.grow_backlog_bytes_per_shard = 1e6;
-  policy.shrink_backlog_bytes_per_shard = 1e5;
+  Autoscaler policy{{/*grow=*/{4.0, 0.0, 0.0, 1e6},
+                     /*shrink=*/{0.5, 1.0, 0.0, 1e5}, /*up_patience=*/3,
+                     /*down_patience=*/3}};
 
   // A byte square wave faster than either patience never moves the pool.
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double bytes = (tick % 2 == 0) ? 5e6 : 0.0;
-    ASSERT_EQ(policy.decide(live, 0.0, 0.0, 0.0, bytes), live)
+    ASSERT_EQ(policy.decide(live, {0.0, 0.0, 0.0, bytes}), live)
         << "flapped at tick " << tick;
   }
 
   // Sustained queued traffic grows one shard per patience window, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, 0.0, /*backlog_bytes=*/5e6);
+    live = policy.decide(live, {0.0, 0.0, 0.0, /*backlog_bytes=*/5e6});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1493,24 +1542,116 @@ TEST(AutoscalePolicyTest, BacklogBytesSignalFollowsTheSameHysteresis) {
   // Idle bytes shrink the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, 0.0, 0.0);
+    live = policy.decide(live, {0.0, 0.0, 0.0, 0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
-  // Under kBacklogBytes the MAC and wall-clock terms are ignored.
+  // With only depth and bytes active the MAC and wall-clock terms are
+  // ignored.
   live = 2;
-  policy.grow_streak = 0;
-  policy.shrink_streak = 0;
+  policy.band.hot_streak = 0;
+  policy.band.cool_streak = 0;
   for (int tick = 0; tick < 3; ++tick) {
-    const int want = policy.decide(live, 0.0, /*wait_p99_ms=*/1e3,
-                                   /*backlog_macs=*/1e12, /*bytes=*/0.0);
+    const int want = policy.decide(live, {0.0, /*wait_p99_ms=*/1e3,
+                                          /*backlog_macs=*/1e12,
+                                          /*bytes=*/0.0});
     EXPECT_LE(want, live) << "a non-byte signal moved a backlog_bytes pool";
     live = want;
   }
+}
 
-  EXPECT_EQ(parse_autoscale_signal("backlog_bytes"),
-            AutoscaleSignal::kBacklogBytes);
+TEST(PressureLimitsTest, ServerRejectsNegativeNaNAndInactiveBands) {
+  // Every term of every band must be >= 0 and not NaN; grow and overload
+  // must keep at least one term active.  A NaN grow limit would never
+  // scale and a negative one would always grow.
+  const std::vector<std::pair<const char*, PressureLimits ServerOptions::*>>
+      bands = {{"grow", &ServerOptions::grow},
+               {"shrink", &ServerOptions::shrink},
+               {"overload", &ServerOptions::overload}};
+  const std::vector<std::pair<const char*, double PressureLimits::*>> terms = {
+      {"depth_per_shard", &PressureLimits::depth_per_shard},
+      {"wait_p99_ms", &PressureLimits::wait_p99_ms},
+      {"backlog_macs_per_shard", &PressureLimits::backlog_macs_per_shard},
+      {"backlog_bytes_per_shard", &PressureLimits::backlog_bytes_per_shard}};
+  const auto expect_invalid = [](const ServerOptions& opts,
+                                 const std::string& what) {
+    try {
+      Server server(arch::ArrayConfig::square(16), opts);
+      ADD_FAILURE() << "accepted " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+    }
+  };
+  for (const auto& [band, limits] : bands) {
+    for (const auto& [term, field] : terms) {
+      for (const double bad : {-1.0, std::nan("")}) {
+        ServerOptions opts;
+        (opts.*limits).*field = bad;
+        expect_invalid(opts, std::string(band) + "." + term + " = " +
+                                 std::to_string(bad));
+      }
+      // One active term alone is a valid band.
+      ServerOptions opts;
+      opts.num_shards = 1;
+      opts.*limits = {};
+      (opts.*limits).*field = 1.0;
+      EXPECT_NO_THROW(Server(arch::ArrayConfig::square(16), opts))
+          << band << " with only " << term;
+    }
+  }
+  ServerOptions opts;
+  opts.shrink = {};  // all-zero shrink: cool only at an empty backlog
+  EXPECT_NO_THROW(Server(arch::ArrayConfig::square(16), opts));
+  opts.grow = {};
+  expect_invalid(opts, "an all-zero grow band");
+  opts = {};
+  opts.overload = {};
+  expect_invalid(opts, "an all-zero overload band");
+}
+
+TEST_F(ServeTest, AutoscalerGrowsOnQueuedMacsAloneAndShrinksWhenIdle) {
+  // A grow band watching only queued MACs per shard: neither depth nor
+  // the wall-clock wait can move the pool, so every scale event below is
+  // the MAC term's doing, end to end through the control thread.
+  ServerOptions opts;
+  opts.num_shards = 1;
+  opts.min_shards = 1;
+  opts.max_shards = 3;
+  opts.dispatcher = "stealing";
+  opts.backend = "chaos";
+  opts.chaos.delay_rate = 1.0;  // every run sleeps — backlog builds
+  opts.chaos.delay_ms = 10.0;
+  opts.max_batch = 1;
+  opts.autoscale_interval_ms = 5.0;
+  opts.grow = {0.0, 0.0, /*backlog_macs_per_shard=*/1e6};
+  opts.shrink = {0.0, 0.0, /*backlog_macs_per_shard=*/0.25e6};
+  opts.grow_patience = 1;
+  opts.shrink_patience = 2;
+  Server server(shard16(), opts);
+
+  // 16x128 x 128x128 = 262144 MACs a request: 32 queued are ~8e6 MACs.
+  Rng rng(4242);
+  auto weights = random_weights(rng, 128, 128);
+  std::vector<std::future<GemmResult>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(server.submit_gemm(
+        "macs", gemm::random_matrix(rng, 16, 128, -20, 20), weights));
+  }
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  EXPECT_GE(server.stats().scale_ups, 1) << "queued MACs never grew the pool";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.num_shards() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.live_shards, 1) << "pool failed to shrink when idle";
+  EXPECT_GE(stats.scale_downs, 1);
+  EXPECT_EQ(stats.submitted, 32);
+  EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
@@ -1530,9 +1671,9 @@ TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
   opts.chaos.delay_rate = 1.0;  // every run sleeps — backlog builds
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "reject";
-  opts.overload_depth_per_shard = 1e18;  // only the byte signal may trip
-  opts.overload_wait_p99_ms = 1e9;
-  opts.overload_backlog_bytes_per_shard = 1.0;  // any queued byte is pressure
+  opts.overload.depth_per_shard = 1e18;  // only the byte signal may trip
+  opts.overload.wait_p99_ms = 1e9;
+  opts.overload.backlog_bytes_per_shard = 1.0;  // any queued byte is pressure
   Server server(config, opts);
 
   Rng rng(77);
@@ -1578,8 +1719,8 @@ TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
   opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;
+  opts.overload.depth_per_shard = 1.0;
+  opts.overload.wait_p99_ms = 1e9;
   opts.degrade_spad_fraction = 0.5;
   Server server(config, opts);
 
