@@ -4,30 +4,43 @@
 // dispatch and completion plumbing included.  This bench isolates the
 // layers so a regression is attributable:
 //
-//   evaluate_scalar     — the uncached virtual evaluate() loop: one closed-
-//                         form Eq. 3/4/6 sweep per shape per call.  The
+//   evaluate_scalar     — the virtual evaluate() loop: one closed-form
+//                         Eq. 3/4 finalization per shape per call, the
+//                         Eq. 6 argmin read from the sweep store.  The
 //                         pre-batching baseline.
 //   evaluate_batch_cold — evaluate_batch() with the memo cache cleared
 //                         before every call: the SoA two-pass kernel alone
 //                         (contiguous shape arrays, no per-element virtual
-//                         dispatch), no memoization help.
-//   evaluate_batch      — evaluate_batch() in the serving steady state: the
-//                         first call fills the cache, the rest answer from
-//                         it.  This is the number the batched serving path
-//                         rides on.
-//   evaluate_cached     — the scalar memoized entry point (evaluate_cached)
-//                         on a warm cache: per-call overhead of the sharded
-//                         lookup itself.
+//                         dispatch).
+//   evaluate_batch      — evaluate_batch() in the serving steady state.
+//                         With magic memory nothing is memoized, so this
+//                         equals the cold rung; it is the number the
+//                         batched serving path rides on.
+//   evaluate_cached     — the scalar entry point evaluate_cached (magic
+//                         memory: a direct closed form, no estimate store).
+//   best_mode_cached    — the admission argmin from the warm sweep store:
+//                         one locked lookup plus a shared_ptr copy.
+//   sweep_uncached      — PipelineOptimizer::sweep recomputed per call:
+//                         what best_mode_cached would cost without the
+//                         sweep store.  The pair settles whether it pays.
 //   submit_scalar       — Server::submit_gemm cost-only round trips: adds
 //                         queue hop + promise/future per shape.
 //   submit_batched      — Server::submit_gemm_batch at 256 shapes/call:
 //                         one queue hop and one pooled completion slot per
 //                         CALL instead of per shape.
 //
-// Writes BENCH_cost_path.json.  CI runs this as a smoke gate: the batched
-// engine path must not lose to the scalar one (a generous >= 1.0x bar — the
-// expected ratio is orders of magnitude — so scheduler noise on a loaded
-// runner cannot flake the gate).
+// Every rung reports min/median/max shapes/s over its trials.  A last row
+// prices many DISTINCT shapes on a memory-model-on engine (where every
+// estimate is stored) and samples the process's VmHWM each time another
+// cache capacity's worth of shapes has been priced: once the stores are
+// full, CLOCK eviction must hold the peak flat.
+//
+// Usage: bench_cost_path [--quick] [--commit <rev>].  Writes
+// BENCH_cost_path.json, stamped with the commit (as given), compiler,
+// build type and hardware thread count.  CI runs --quick as a smoke gate:
+// the batched engine path must not lose to the scalar one and batched
+// submit must not lose to scalar submit (best trials, >= 1.0x bars, so
+// scheduler noise on a loaded runner cannot flake the gate).
 
 #include <algorithm>
 #include <chrono>
@@ -37,6 +50,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/cost_cache.h"
@@ -46,17 +60,32 @@
 #include "util/rng.h"
 #include "util/status.h"
 
+#ifndef AF_BUILD_TYPE
+#define AF_BUILD_TYPE "unknown"
+#endif
+
 namespace {
 
 using namespace af;
 
 struct Result {
   std::string mode;
-  std::int64_t shapes = 0;  // shapes priced in the timed region (best trial)
-  double seconds = 0.0;
-  double shapes_per_s() const {
-    return seconds > 0 ? static_cast<double>(shapes) / seconds : 0.0;
+  std::int64_t shapes = 0;      // shapes priced per trial
+  std::vector<double> seconds;  // one per trial
+
+  // Order statistics of the per-trial rate (shapes/s).
+  double rate_at(double quantile) const {
+    std::vector<double> rates;
+    for (const double s : seconds) {
+      rates.push_back(s > 0 ? static_cast<double>(shapes) / s : 0.0);
+    }
+    std::sort(rates.begin(), rates.end());
+    return rates[static_cast<std::size_t>(
+        quantile * static_cast<double>(rates.size() - 1) + 0.5)];
   }
+  double min() const { return rate_at(0.0); }
+  double median() const { return rate_at(0.5); }
+  double max() const { return rate_at(1.0); }
 };
 
 // Randomized but reproducible shape set: the mix a serving admission loop
@@ -71,36 +100,60 @@ std::vector<gemm::GemmShape> make_shapes(int count, Rng& rng) {
   return shapes;
 }
 
-// Best-of-N wall-clock trials (see bench_serving's run_contended for the
-// rationale: the best trial is the low-noise estimator on a shared runner).
+// Wall-clock trials of `body`, each pricing `shapes_per_trial` shapes.
 template <typename Fn>
 Result measure(const std::string& mode, std::int64_t shapes_per_trial,
                int trials, Fn&& body) {
-  Result best;
-  best.mode = mode;
-  best.shapes = shapes_per_trial;
+  Result result;
+  result.mode = mode;
+  result.shapes = shapes_per_trial;
   for (int trial = 0; trial < trials; ++trial) {
     const auto t0 = std::chrono::steady_clock::now();
     body();
-    const double s =
+    result.seconds.push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (trial == 0 || s < best.seconds) best.seconds = s;
+            .count());
   }
-  return best;
+  return result;
+}
+
+// The process's peak resident set (VmHWM) in kB; 0 where /proc is absent.
+long vm_hwm_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return 0;
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
+  std::string commit = "unrecorded";
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--commit" && i + 1 < argc) {
+      commit = argv[++i];
+    }
   }
   const int kShapeCount = 256;
   const int kRepeats = quick ? 20 : 200;       // engine-level passes/trial
   const int kSubmitRepeats = quick ? 4 : 16;   // server round trips/trial
-  const int kTrials = 3;
+  const int kTrials = quick ? 3 : 5;
 
   Rng rng(20260808);
   const std::vector<gemm::GemmShape> shapes = make_shapes(kShapeCount, rng);
@@ -147,7 +200,7 @@ int main(int argc, char** argv) {
     }
   }));
 
-  engine->evaluate_batch(span, 0);  // warm the memo once
+  engine->evaluate_batch(span, 0);  // the serving steady state
   results.push_back(measure("evaluate_batch", per_trial, kTrials, [&] {
     for (int r = 0; r < kRepeats; ++r) {
       volatile std::int64_t sink = engine->evaluate_batch(span, 0)[0].cycles;
@@ -159,6 +212,25 @@ int main(int argc, char** argv) {
     for (int r = 0; r < kRepeats; ++r) {
       for (const gemm::GemmShape& s : shapes) {
         volatile std::int64_t sink = engine->evaluate_cached(s, 0).cycles;
+        (void)sink;
+      }
+    }
+  }));
+
+  for (const gemm::GemmShape& s : shapes) engine->best_mode_cached(s);
+  results.push_back(measure("best_mode_cached", per_trial, kTrials, [&] {
+    for (int r = 0; r < kRepeats; ++r) {
+      for (const gemm::GemmShape& s : shapes) {
+        volatile int sink = engine->best_mode_cached(s).k;
+        (void)sink;
+      }
+    }
+  }));
+
+  results.push_back(measure("sweep_uncached", per_trial, kTrials, [&] {
+    for (int r = 0; r < kRepeats; ++r) {
+      for (const gemm::GemmShape& s : shapes) {
+        volatile std::size_t sink = engine->optimizer().sweep(s).size();
         (void)sink;
       }
     }
@@ -217,44 +289,108 @@ int main(int argc, char** argv) {
         }));
   }
 
-  auto rate = [&](const std::string& mode) {
+  // Memory model on: every estimate (and every argmin sweep) is stored, so
+  // pricing never-repeating shapes fills both stores to capacity and then
+  // recycles slots.  VmHWM is sampled once per capacity's worth of shapes.
+  arch::ArrayConfig mem_config = arch::ArrayConfig::square(16);
+  mem_config.mem.enabled = true;
+  auto mem_engine = engine::EngineBuilder().config(mem_config).build("analytic");
+  const std::int64_t capacity = mem_engine->cost_cache()->capacity();
+  const int fills = quick ? 2 : 4;
+  std::vector<long> hwm_kb;
+  std::int64_t priced = 0;
+  const auto mem_t0 = std::chrono::steady_clock::now();
+  for (std::int64_t m = 8; hwm_kb.size() < static_cast<std::size_t>(fills);
+       ++m) {
+    for (std::int64_t n = 8; n <= 64; n += 8) {
+      for (std::int64_t t = 1; t <= 64; ++t) {
+        volatile std::int64_t sink =
+            mem_engine->evaluate_cached({m, n, t}, 0).cycles;
+        (void)sink;
+        if (++priced % capacity == 0) hwm_kb.push_back(vm_hwm_kb());
+      }
+    }
+  }
+  const double mem_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - mem_t0)
+          .count();
+  const std::int64_t mem_entries = mem_engine->cost_cache()->size();
+  AF_CHECK(mem_entries <= 2 * capacity,
+           "memory-on cache holds " << mem_entries << " entries, over 2 x "
+                                    << capacity);
+
+  auto best_rate = [&](const std::string& mode) {
     for (const Result& r : results) {
-      if (r.mode == mode) return r.shapes_per_s();
+      if (r.mode == mode) return r.max();
+    }
+    return 0.0;
+  };
+  auto median_rate = [&](const std::string& mode) {
+    for (const Result& r : results) {
+      if (r.mode == mode) return r.median();
     }
     return 0.0;
   };
 
-  std::printf("cost path (16x16 analytic, %d shapes, argmin k):\n",
-              kShapeCount);
-  std::printf("%20s %12s %12s %10s\n", "mode", "shapes", "shapes/s",
-              "vs scalar");
-  const double scalar = rate("evaluate_scalar");
+  std::printf("cost path (16x16 analytic, %d shapes, argmin k, %d trials):\n",
+              kShapeCount, kTrials);
+  std::printf("%20s %10s %12s %12s %12s %10s\n", "mode", "shapes",
+              "min/s", "median/s", "max/s", "vs scalar");
+  const double scalar = median_rate("evaluate_scalar");
   for (const Result& r : results) {
-    std::printf("%20s %12lld %12.0f %9.1fx\n", r.mode.c_str(),
-                static_cast<long long>(r.shapes), r.shapes_per_s(),
-                scalar > 0 ? r.shapes_per_s() / scalar : 0.0);
+    std::printf("%20s %10lld %12.0f %12.0f %12.0f %9.2fx\n", r.mode.c_str(),
+                static_cast<long long>(r.shapes), r.min(), r.median(),
+                r.max(), scalar > 0 ? r.median() / scalar : 0.0);
   }
+  std::printf(
+      "sweep store: best_mode_cached / sweep_uncached = %.2fx (median)\n",
+      median_rate("sweep_uncached") > 0
+          ? median_rate("best_mode_cached") / median_rate("sweep_uncached")
+          : 0.0);
+  std::printf(
+      "memory on (16x16, cache capacity %lld per store): %lld distinct "
+      "shapes, %.0f shapes/s, %lld entries\n  VmHWM kB after each "
+      "capacity's worth:",
+      static_cast<long long>(capacity), static_cast<long long>(priced),
+      static_cast<double>(priced) / mem_seconds,
+      static_cast<long long>(mem_entries));
+  for (const long kb : hwm_kb) std::printf(" %ld", kb);
+  std::printf("\n");
 
   // The smoke gates.  Both bars are deliberately loose (>= parity where the
-  // expected win is 10-1000x) so the gate cannot flake under CI noise.
-  AF_CHECK(rate("evaluate_batch") >= scalar,
+  // expected win is 1.4-10x) so the gate cannot flake under CI noise.
+  AF_CHECK(best_rate("evaluate_batch") >= best_rate("evaluate_scalar"),
            "batched evaluate lost to the scalar loop");
-  AF_CHECK(rate("submit_batched") >= rate("submit_scalar"),
+  AF_CHECK(best_rate("submit_batched") >= best_rate("submit_scalar"),
            "batched submit lost to scalar submit");
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"cost_path\",\n  \"unit\": \"shapes/s\",\n"
+       << "  \"stamp\": {\"commit\": \"" << commit << "\", \"compiler\": \""
+       << compiler() << "\", \"build_type\": \"" << AF_BUILD_TYPE
+       << "\", \"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"trials\": " << kTrials << ", \"quick\": "
+       << (quick ? "true" : "false") << "},\n"
        << "  \"shape_count\": " << kShapeCount << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     json << "    {\"mode\": \"" << r.mode << "\", \"shapes\": " << r.shapes
-         << ", \"seconds\": " << r.seconds
-         << ", \"shapes_per_s\": " << r.shapes_per_s()
-         << ", \"vs_scalar\": " << (scalar > 0 ? r.shapes_per_s() / scalar
-                                               : 0.0)
-         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+         << ", \"shapes_per_s_min\": " << r.min()
+         << ", \"shapes_per_s_median\": " << r.median()
+         << ", \"shapes_per_s_max\": " << r.max()
+         << ", \"median_vs_scalar\": "
+         << (scalar > 0 ? r.median() / scalar : 0.0) << "}"
+         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  json << "  ]\n}\n";
+  json << "  ],\n  \"memory_on\": {\"array\": \"16x16\", "
+       << "\"cache_capacity_per_store\": " << capacity
+       << ", \"distinct_shapes\": " << priced
+       << ", \"shapes_per_s\": " << static_cast<double>(priced) / mem_seconds
+       << ", \"entries\": " << mem_entries << ", \"vmhwm_kb\": [";
+  for (std::size_t i = 0; i < hwm_kb.size(); ++i) {
+    json << (i > 0 ? ", " : "") << hwm_kb[i];
+  }
+  json << "]}\n}\n";
   std::ofstream out("BENCH_cost_path.json");
   if (!out) {
     std::cerr << "note: could not write BENCH_cost_path.json\n";

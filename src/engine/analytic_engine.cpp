@@ -42,9 +42,9 @@ RunResult AnalyticEngine::run_gemm(const GemmRequest& request) {
         *request.b, config().rows, config().cols);
     result.cost = analytic_sparse_estimate(shape, k, occupancy);
   } else {
-    // Memoized: a repeated shape skips the closed forms and, with the
-    // memory hierarchy on, the per-run DMA plan.  A hit is the same
-    // finalized() value a miss computes, so the cost is exactly
+    // With the memory hierarchy on, a repeated shape skips the per-run DMA
+    // plan; with magic memory the closed forms are recomputed.  A hit is
+    // the same finalized() value a miss computes, so the cost is exactly
     // analytic_estimate(shape, k) either way.
     result.cost = evaluate_cached(shape, k);
   }
@@ -122,10 +122,19 @@ std::vector<CostEstimate> AnalyticEngine::evaluate_batch(
     }
   }
 
-  // Finalization: cache hits return the memoized estimate; misses run the
-  // shared finalized() (counter prediction + utilization-aware pricing +
-  // memory re-timing) on the SoA cycles — identical inputs to the scalar
-  // path, so exact equality holds element for element.
+  // Finalization: the shared finalized() (counter prediction +
+  // utilization-aware pricing + memory re-timing) on the SoA cycles —
+  // identical inputs to the scalar path, so exact equality holds element
+  // for element.  With magic memory that is all closed form, cheaper than
+  // a lookup; with the memory model on, the estimate store memoizes the
+  // DMA plan behind each element.
+  if (!stores_estimates()) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = finalized(shapes[i], mode[i], cycles[i],
+                         arch::predict_gemm_activity(shapes[i], cfg, mode[i]));
+    }
+    return out;
+  }
   CostCache& cache = *cost_cache();
   const std::uint64_t fp = cost_fingerprint();
   for (std::size_t i = 0; i < count; ++i) {

@@ -7,8 +7,13 @@
 // measures — at a tiny fraction of the cost.  The output matrix is
 // computed by the vectorized gemm::multiply (bit-identical to the
 // gemm::reference_gemm oracle) only when the request asks for it; cost-only
-// traffic never touches the operands.  Dense run pricing goes through the
-// cost cache (evaluate_cached), so repeated shapes are priced once.
+// traffic never touches the operands.  With magic memory every estimate is
+// the O(1) closed forms, recomputed per call: evaluate_cached,
+// evaluate_batch and evaluate_sparse_cached leave the estimate store alone,
+// since a lookup costs about as much as the arithmetic and an entry costs
+// memory.  With the memory model on, a miss is a DMA plan, so dense
+// estimates are memoized in the bounded cost cache (engine/cost_cache.h).
+// The Eq. 6 argmin (k = 0) reads the cache's sweep store either way.
 
 #pragma once
 
@@ -30,8 +35,9 @@ class AnalyticEngine final : public Engine {
   CostEstimate evaluate(const gemm::GemmShape& shape, int k = 0) override;
   // Vectorized batch path: the Eq. 3/4 integer closed forms and the Eq. 6
   // argmin run over contiguous SoA arrays (one branch-free inner loop per
-  // mode, no per-element virtual dispatch); only cache misses pay the full
-  // per-element finalization.  Element i is EXACTLY equal to
+  // mode, no per-element virtual dispatch), then one finalization per
+  // element (memoized only with the memory model on; see
+  // Engine::stores_estimates).  Element i is EXACTLY equal to
   // evaluate(shapes[i], k) — the SoA loops execute the same integer and
   // double arithmetic as arch::total_latency_cycles / absolute_time_ps.
   std::vector<CostEstimate> evaluate_batch(

@@ -1,53 +1,59 @@
-// Sharded, read-mostly memoization of cost-query results behind the
-// engine:: facade — the serving hot path's answer to a tiny working set.
+// Bounded, sharded memoization of the cost queries that are expensive to
+// recompute, behind the engine:: facade.
 //
-// On cost-only analytic traffic the closed forms (Eqs. 3-6) are so cheap
-// that RE-DERIVING them per request — a fresh per-mode argmin at
-// admission, a fresh sweep for the sticky reconfig policy, a fresh
-// finalization per evaluate() — dominates wall time, and real streams
-// (transformer decode, design-space sweeps, per-layer CNN lowering) hit a
-// handful of distinct shapes over and over.  CostCache stores both
-// artifacts the path needs:
+// Not every estimate is worth storing.  With magic memory an analytic
+// estimate is the paper's O(1) closed forms (Eqs. 3-6): recomputing one
+// takes about as long as a hash lookup, and storing it costs memory that
+// is never given back.  So Engine stores an estimate only when a miss is
+// costly (Engine::evaluate_cached and friends enforce this):
 //
 //   estimates  (fingerprint, shape, k, occupancy) -> CostEstimate
-//              The full finalized estimate — memory-aware re-timing and
+//              Stored when the engine MEASURES (the cycle backend, where
+//              a miss is a full simulation) or when the memory model is on
+//              (a miss is a DMA plan, several microseconds).  The value is
+//              the full finalized estimate, memory-aware re-timing and
 //              DRAM pricing included.  `occupancy` is kDenseOccupancy for
 //              dense queries and the non-zero tile count for block-sparse
-//              ones (with the memory model OFF a sparse estimate is a pure
-//              function of nnz: L(k) * nnz cycles, per-tile counters * nnz
-//              — see arch/sparse.h.  With the model ON the DMA plan
-//              depends on WHICH tiles are occupied, so sparse queries
-//              bypass the cache entirely; Engine enforces that).
+//              ones; only a measuring engine with magic memory stores
+//              sparse estimates (with the model on, the DMA plan depends
+//              on WHICH tiles are occupied, so there is no sound key).
 //
 //   sweeps     (fingerprint, shape) -> vector<ModeSweepEntry>
 //              The optimizer's compute-only per-mode projection (Eq. 6
-//              argmin inputs).  Cached separately from estimates because
-//              with the memory hierarchy enabled the finalized time
+//              argmin inputs), used by admission, the sticky reconfig
+//              policy and the inference runner.  Kept apart from estimates
+//              because with the memory model on the finalized time
 //              includes DMA stalls while mode SELECTION deliberately does
-//              not — the two disagree by design and must not share entries.
+//              not, so the two must not share entries.
+//
+// Capacity: each store holds at most `stripe_capacity` entries per stripe,
+// fixed at construction, so at most capacity() entries in all.  The
+// default (kDefaultStripeCapacity x kStripes = 16384 per store) sits far
+// above a serving working set: a traced LLM decode trial misses about a
+// hundred distinct shapes.  A full stripe evicts by CLOCK: a hit sets the
+// entry's reference bit; an insert sweeps the stripe's hand forward,
+// clearing set bits, and replaces the first entry whose bit was clear.  New
+// entries start clear, so a stream of never-repeated shapes recycles its
+// own slots and leaves the repeatedly hit ones in place.
 //
 // Invalidation is structural, not epochal: every key carries the owning
 // engine's 64-bit cost fingerprint (geometry + supported modes + memory
 // knobs + per-mode clock periods + all EnergyParams), so an engine built
 // over different wiring can share the same cache object and never read a
-// stale entry — changed config or energy params simply hash to keys nobody
-// else writes.  clear() exists for tests and explicit resets.
+// stale entry.  clear() exists for tests and explicit resets.
 //
 // Thread safety: fully internally synchronized.  Keys hash across
-// `kShards` independent mutex-guarded maps so concurrent admission threads
-// (the contended-submit hot path) rarely touch the same lock; hit/miss
-// counters are relaxed atomics.
+// kStripes independent mutex-guarded stripes, so concurrent admission
+// threads rarely touch the same lock; hit/miss counters are relaxed
+// atomics.
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/optimizer.h"
@@ -61,8 +67,12 @@ class CostCache {
   // Occupancy token of a dense query (sparse tokens are nnz >= 0, so the
   // two can never collide).
   static constexpr std::int64_t kDenseOccupancy = -1;
+  static constexpr std::size_t kStripes = 16;
+  static constexpr std::size_t kDefaultStripeCapacity = 1024;
 
-  CostCache();
+  // `stripe_capacity` entries per stripe and store (>= 1).
+  explicit CostCache(std::size_t stripe_capacity = kDefaultStripeCapacity);
+  ~CostCache();
 
   CostCache(const CostCache&) = delete;
   CostCache& operator=(const CostCache&) = delete;
@@ -90,39 +100,20 @@ class CostCache {
 
   // Entries across both stores (test introspection).
   std::int64_t size() const;
+  // Most entries either store can hold: stripe_capacity x kStripes.
+  std::int64_t capacity() const;
 
   // Drop every entry (counters keep running).
   void clear();
 
  private:
-  struct Key {
-    std::uint64_t fingerprint = 0;
-    std::int64_t m = 0;
-    std::int64_t n = 0;
-    std::int64_t t = 0;
-    int k = 0;  // 0 marks a sweep entry (real modes are >= 1)
-    std::int64_t occupancy = kDenseOccupancy;
+  struct Key;
+  struct Stripe;
 
-    bool operator==(const Key&) const = default;
-  };
+  Stripe& stripe_for(const Key& key) const;
 
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Key, CostEstimate, KeyHash> estimates;
-    std::unordered_map<Key, std::shared_ptr<const std::vector<arch::ModeSweepEntry>>,
-                       KeyHash>
-        sweeps;
-  };
-
-  static constexpr std::size_t kShards = 16;
-
-  Shard& shard_for(const Key& key) const;
-
-  mutable std::array<Shard, kShards> shards_;
+  const std::size_t stripe_capacity_;
+  std::unique_ptr<Stripe[]> stripes_;
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::int64_t> misses_{0};
 };

@@ -260,7 +260,7 @@ CostEstimate Engine::finalized(const gemm::GemmShape& shape, int k,
 
 std::vector<CostEstimate> Engine::evaluate_batch(
     std::span<const gemm::GemmShape> shapes, int k) {
-  // Generic fallback: one memoized evaluate per element.  Still batched
+  // Generic fallback: one evaluate_cached per element.  Still batched
   // from the caller's point of view (one call, one result vector) and
   // still exactly equal to the scalar path; the analytic backend replaces
   // the loop with a vectorized SoA sweep of the closed forms.
@@ -274,6 +274,7 @@ std::vector<CostEstimate> Engine::evaluate_batch(
 
 CostEstimate Engine::evaluate_cached(const gemm::GemmShape& shape, int k) {
   const int mode = resolve_mode(shape, k);
+  if (!stores_estimates()) return evaluate(shape, mode);
   if (std::optional<CostEstimate> hit =
           cache_->find(fingerprint_, shape, mode, CostCache::kDenseOccupancy)) {
     return *std::move(hit);
@@ -286,9 +287,10 @@ CostEstimate Engine::evaluate_cached(const gemm::GemmShape& shape, int k) {
 CostEstimate Engine::evaluate_sparse_cached(
     const gemm::GemmShape& shape, int k,
     const arch::TileOccupancy& occupancy) {
-  if (config_.mem.enabled) {
-    // The DMA plan walks the occupied tiles in order — two occupancies
-    // with equal nnz can cost differently, so there is no sound key.
+  if (config_.mem.enabled || !measures()) {
+    // With memory on, the DMA plan walks the occupied tiles in order — two
+    // occupancies with equal nnz can cost differently, so there is no
+    // sound key.  A magic-memory closed form is cheaper than a lookup.
     return evaluate_sparse(shape, k, occupancy);
   }
   const int mode = resolve_mode(shape, k);

@@ -189,27 +189,30 @@ class Engine {
       = 0;
 
   // Cost of MANY shapes in one call — the serving hot path's batched
-  // entry point (one virtual dispatch, one cache pass, no per-element
-  // promise/queue machinery above it).  Element i is EXACTLY equal to
+  // entry point (one virtual dispatch, no per-element promise/queue
+  // machinery above it).  Element i is EXACTLY equal to
   // evaluate(shapes[i], k) — pinned by tests/cost_path_test.cpp on every
-  // backend.  The base implementation loops evaluate() through the cost
-  // cache; the analytic backend overrides it with a vectorized SoA sweep
-  // of the closed forms (engine/analytic_engine.cpp).
+  // backend.  The base implementation loops evaluate_cached(); the
+  // analytic backend overrides it with a vectorized SoA sweep of the
+  // closed forms (engine/analytic_engine.cpp).
   virtual std::vector<CostEstimate> evaluate_batch(
       std::span<const gemm::GemmShape> shapes, int k = 0);
 
-  // Memoized evaluate(): answers from the cost cache keyed by
-  // (cost_fingerprint, shape, k) and falls back to the virtual evaluate()
-  // on a miss — so the cached result is exactly the uncached one by
-  // construction, on the cycle backend as on the analytic one.  k = 0
+  // Memoized evaluate(): when a miss is costly (stores_estimates()),
+  // answers from the cost cache keyed by (cost_fingerprint, shape, k) and
+  // falls back to the virtual evaluate() on a miss; otherwise it calls
+  // evaluate() directly and never touches the estimate store.  Either way
+  // the result is exactly the uncached one by construction.  k = 0
   // resolves the Eq. 6 argmin through the cached optimizer sweep first.
   CostEstimate evaluate_cached(const gemm::GemmShape& shape, int k = 0);
 
-  // Memoized evaluate_sparse(): with magic memory a block-sparse cost is a
-  // pure function of (shape, k, nnz) — L(k) * nnz cycles, per-tile
-  // counters * nnz — so the cache keys on the occupancy's non-zero tile
-  // count.  With the memory hierarchy enabled the DMA plan depends on
-  // WHICH tiles are occupied, so the call bypasses the cache entirely.
+  // Memoized evaluate_sparse(), for a measuring backend with magic memory
+  // only: there a block-sparse cost is a pure function of (shape, k, nnz)
+  // — L(k) * nnz cycles, per-tile counters * nnz — so the cache keys on
+  // the occupancy's non-zero tile count.  With the memory hierarchy
+  // enabled the DMA plan depends on WHICH tiles are occupied (no sound
+  // key), and a closed-form estimate is cheaper to recompute than to
+  // store, so both bypass the cache.
   CostEstimate evaluate_sparse_cached(const gemm::GemmShape& shape, int k,
                                       const arch::TileOccupancy& occupancy);
 
@@ -222,8 +225,7 @@ class Engine {
       const gemm::GemmShape& shape) const;
   arch::ModeDecision best_mode_cached(const gemm::GemmShape& shape) const;
 
-  // Eq. 6 argmin over the supported modes, via this backend's evaluate()
-  // (memoized through the cost cache).
+  // Eq. 6 argmin over the supported modes, via evaluate_cached().
   CostEstimate best(const gemm::GemmShape& shape);
 
   // 64-bit structural key of everything a CostEstimate depends on: array
@@ -234,7 +236,8 @@ class Engine {
   std::uint64_t cost_fingerprint() const { return fingerprint_; }
 
   // The memoization store behind evaluate_cached / sweep_cached /
-  // evaluate_batch.  Private per engine by default; inject a shared one
+  // evaluate_batch (engine/cost_cache.h: what is stored, capacity,
+  // eviction).  Private per engine by default; inject a shared one
   // via EngineBuilder::cost_cache (the serve::Server path: admission,
   // reconfig and every shard engine of a backend share entries).
   const std::shared_ptr<CostCache>& cost_cache() const { return cache_; }
@@ -293,6 +296,12 @@ class Engine {
                          const arch::TileOccupancy* occupancy = nullptr) const;
 
   int resolve_mode(const gemm::GemmShape& shape, int k) const;
+
+  // True when an estimate miss is costly enough to memoize: the backend
+  // measures (a miss is a full simulation) or the memory model is on (a
+  // miss is a DMA plan).  A magic-memory closed form (Eqs. 3-6) costs about
+  // what a lookup does, so it is recomputed instead of stored.
+  bool stores_estimates() const { return measures() || config_.mem.enabled; }
 
  private:
   friend std::shared_ptr<Engine> make(const std::string&,

@@ -305,10 +305,11 @@ struct ServerStats {
   std::int64_t backlog_bytes = 0;
   std::int64_t promise_double_sets = 0;  // broken-promise bugs caught (== 0)
   // --- cost memoization (engine/cost_cache.h) -------------------------------
-  // Hits and misses of the server-wide CostEstimate cache, shared by the
+  // Hits and misses of the server-wide cost cache, shared by the
   // admission argmin/sweep, every shard engine's evaluate paths, and the
-  // batched cost API.  A hit answers from the sharded map; a miss pays the
-  // full closed-form finalization once and publishes it.
+  // batched cost API.  Estimates are looked up only when a miss is costly
+  // (a measuring backend, or the memory model on); magic-memory analytic
+  // estimates are recomputed and count neither.
   std::int64_t cost_cache_hits = 0;
   std::int64_t cost_cache_misses = 0;
   // --- runtime reconfiguration (serve/reconfig.h) --------------------------

@@ -2,9 +2,11 @@
 // evaluate_batch, the sharded CostCache behind evaluate_cached /
 // evaluate_sparse_cached, and the pooled submit_gemm_batch serving path —
 // returns estimates EXACTLY equal to the scalar virtual evaluate() it
-// replaces, on every backend; the cache never serves a stale entry across
-// a config or energy-parameter change; and the batched serving path keeps
-// the server's books balanced under multi-producer pressure.
+// replaces, on every backend; magic-memory closed forms never touch the
+// estimate store; the cache stays within its capacity, never serves a
+// stale entry across a config or energy-parameter change, and neither
+// loses nor tears an entry under concurrent use; and the batched serving
+// path keeps the server's books balanced under multi-producer pressure.
 
 #include <gtest/gtest.h>
 
@@ -120,14 +122,191 @@ TEST(CostPathTest, SparseCachedMatchesUncached) {
   }
 }
 
+// --- the bypass: magic-memory closed forms never touch the estimate store -
+
+TEST(CostPathTest, MemoryOffAnalyticEstimatesBypassTheStore) {
+  Rng rng(707);
+  const auto shapes = random_shapes(24, 64, 32, rng);
+  auto engine = EngineBuilder().config(config_for(8, 8)).build("analytic");
+  auto reference = EngineBuilder().config(config_for(8, 8)).build("analytic");
+  for (const int k : {1, 2, 4}) {
+    const std::vector<CostEstimate> batched = engine->evaluate_batch(shapes, k);
+    ASSERT_EQ(batched.size(), shapes.size());
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const CostEstimate want = reference->evaluate(shapes[i], k);
+      EXPECT_TRUE(exactly_equal(engine->evaluate_cached(shapes[i], k), want))
+          << "evaluate_cached, shape " << i << " k=" << k;
+      EXPECT_TRUE(exactly_equal(batched[i], want))
+          << "evaluate_batch, shape " << i << " k=" << k;
+    }
+  }
+  const gemm::GemmShape sparse_shape{40, 48, 9};
+  const arch::TileOccupancy occupancy =
+      arch::TileOccupancy::synthetic(sparse_shape, 8, 8, 0.5, rng);
+  for (const int k : {1, 2}) {
+    const CostEstimate want =
+        reference->evaluate_sparse(sparse_shape, k, occupancy);
+    for (int call = 0; call < 2; ++call) {
+      EXPECT_TRUE(exactly_equal(
+          engine->evaluate_sparse_cached(sparse_shape, k, occupancy), want))
+          << "evaluate_sparse_cached, k=" << k << " call " << call;
+    }
+  }
+  EXPECT_EQ(engine->cost_cache()->size(), 0);
+  EXPECT_EQ(engine->cost_cache()->hits(), 0);
+  EXPECT_EQ(engine->cost_cache()->misses(), 0);
+
+  // A measuring backend keeps memoizing with magic memory: its miss is a
+  // full simulation.
+  auto cycle = EngineBuilder().config(config_for(8, 8)).build("cycle");
+  const gemm::GemmShape shape{12, 16, 5};
+  const CostEstimate first = cycle->evaluate_cached(shape, 2);
+  const std::int64_t hits_before = cycle->cost_cache()->hits();
+  EXPECT_TRUE(exactly_equal(cycle->evaluate_cached(shape, 2), first));
+  EXPECT_EQ(cycle->cost_cache()->hits(), hits_before + 1);
+  EXPECT_EQ(cycle->cost_cache()->size(), 1);
+}
+
+// --- the bound: a full stripe evicts by CLOCK, and never grows ------------
+
+// A distinct, self-describing estimate per tag: a torn or misfiled entry
+// cannot equal the estimate its key was inserted with.
+CostEstimate tagged_estimate(std::int64_t tag) {
+  CostEstimate est;
+  est.k = 1;
+  est.cycles = tag;
+  est.period_ps = 0.5 * static_cast<double>(tag);
+  est.time_ps = 2.0 * static_cast<double>(tag);
+  est.energy_pj = 3.0 * static_cast<double>(tag);
+  est.activity.mult_ops = tag;
+  est.activity.streaming_cycles = tag + 1;
+  est.dram_bytes = 5 * tag;
+  return est;
+}
+
+gemm::GemmShape tagged_shape(std::int64_t tag) { return {tag + 1, 7, 3}; }
+
+using SweepPtr = std::shared_ptr<const std::vector<arch::ModeSweepEntry>>;
+
+SweepPtr tagged_sweep(std::int64_t tag) {
+  arch::ModeSweepEntry entry;
+  entry.decision.k = 1;
+  entry.decision.cycles = tag;
+  entry.is_best = true;
+  return std::make_shared<const std::vector<arch::ModeSweepEntry>>(
+      std::vector<arch::ModeSweepEntry>{entry});
+}
+
+TEST(CostPathTest, CacheStaysWithinCapacityAndKeepsTheHotKey) {
+  constexpr std::uint64_t kFp = 0xfeedULL;
+  CostCache cache(/*stripe_capacity=*/4);
+  ASSERT_EQ(cache.capacity(), 4 * static_cast<std::int64_t>(
+                                      CostCache::kStripes));
+  const std::int64_t distinct = 4 * cache.capacity();
+  const std::int64_t hot = distinct;  // a tag no cold insert reuses
+
+  // Estimate store: one cold insert per round, the hot key looked up on
+  // every round.
+  cache.insert(kFp, tagged_shape(hot), 1, CostCache::kDenseOccupancy,
+               tagged_estimate(hot));
+  for (std::int64_t tag = 0; tag < distinct; ++tag) {
+    cache.insert(kFp, tagged_shape(tag), 1, CostCache::kDenseOccupancy,
+                 tagged_estimate(tag));
+    ASSERT_LE(cache.size(), cache.capacity()) << "after insert " << tag;
+    const auto found =
+        cache.find(kFp, tagged_shape(hot), 1, CostCache::kDenseOccupancy);
+    ASSERT_TRUE(found.has_value()) << "hot key evicted at round " << tag;
+    EXPECT_TRUE(exactly_equal(*found, tagged_estimate(hot)));
+  }
+  // Survivors answer with their own value; evicted keys simply miss.
+  std::int64_t survivors = 0;
+  for (std::int64_t tag = 0; tag < distinct; ++tag) {
+    if (const auto found = cache.find(kFp, tagged_shape(tag), 1,
+                                      CostCache::kDenseOccupancy)) {
+      ++survivors;
+      EXPECT_TRUE(exactly_equal(*found, tagged_estimate(tag))) << tag;
+    }
+  }
+  EXPECT_GT(survivors, 0);
+  EXPECT_LT(survivors, distinct);
+
+  // Sweep store: the same bound, independently of the estimate store.
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0);
+  cache.insert_sweep(kFp, tagged_shape(hot), tagged_sweep(hot));
+  for (std::int64_t tag = 0; tag < distinct; ++tag) {
+    cache.insert_sweep(kFp, tagged_shape(tag), tagged_sweep(tag));
+    ASSERT_LE(cache.size(), cache.capacity()) << "after sweep " << tag;
+    const SweepPtr found = cache.find_sweep(kFp, tagged_shape(hot));
+    ASSERT_NE(found, nullptr) << "hot sweep evicted at round " << tag;
+    EXPECT_EQ(found->front().decision.cycles, hot);
+  }
+
+  EXPECT_THROW(CostCache(0), Error);
+}
+
+TEST(CostPathTest, ConcurrentInsertAndFindLoseAndTearNothing) {
+  constexpr std::uint64_t kFp = 0xbeefULL;
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kPerThread = 1500;  // far below the default cap
+  CostCache cache;
+  std::atomic<int> faults{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kThreads; ++c) {
+    threads.emplace_back([&, c] {
+      const std::int64_t other = (c + 1) % kThreads;
+      for (std::int64_t i = 0; i < kPerThread; ++i) {
+        const std::int64_t tag = c * kPerThread + i;
+        cache.insert(kFp, tagged_shape(tag), 1, CostCache::kDenseOccupancy,
+                     tagged_estimate(tag));
+        cache.insert_sweep(kFp, tagged_shape(tag), tagged_sweep(tag));
+        const auto own =
+            cache.find(kFp, tagged_shape(tag), 1, CostCache::kDenseOccupancy);
+        if (!own || !exactly_equal(*own, tagged_estimate(tag))) {
+          faults.fetch_add(1);
+        }
+        // A neighbour's key may not be there yet; if it is, it is whole.
+        const std::int64_t theirs = other * kPerThread + i;
+        if (const auto seen = cache.find(kFp, tagged_shape(theirs), 1,
+                                         CostCache::kDenseOccupancy)) {
+          if (!exactly_equal(*seen, tagged_estimate(theirs))) {
+            faults.fetch_add(1);
+          }
+        }
+        const SweepPtr sweep = cache.find_sweep(kFp, tagged_shape(tag));
+        if (sweep == nullptr || sweep->front().decision.cycles != tag) {
+          faults.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(faults.load(), 0);
+  EXPECT_EQ(cache.size(), 2 * kThreads * kPerThread);
+  for (std::int64_t tag = 0; tag < kThreads * kPerThread; ++tag) {
+    const auto found =
+        cache.find(kFp, tagged_shape(tag), 1, CostCache::kDenseOccupancy);
+    ASSERT_TRUE(found.has_value()) << "lost " << tag;
+    EXPECT_TRUE(exactly_equal(*found, tagged_estimate(tag))) << tag;
+  }
+}
+
 // --- invalidation: a shared cache never crosses config/energy fingerprints -
 
 TEST(CostPathTest, SharedCacheKeysOnConfigAndEnergy) {
+  // Memory model on, so the analytic engines store their estimates (a
+  // magic-memory closed form bypasses the store) and the fingerprint
+  // guards a live store.
+  const auto with_memory = [](arch::ArrayConfig cfg) {
+    cfg.mem.enabled = true;
+    return cfg;
+  };
   auto cache = std::make_shared<CostCache>();
   const gemm::GemmShape shape{24, 24, 12};
 
-  auto base = EngineBuilder().config(config_for(8, 8)).cost_cache(cache)
-                  .build("analytic");
+  auto base = EngineBuilder().config(with_memory(config_for(8, 8)))
+                  .cost_cache(cache).build("analytic");
   const CostEstimate first = base->evaluate_cached(shape, 2);
   EXPECT_TRUE(exactly_equal(first, base->evaluate(shape, 2)));
   const std::int64_t misses_after_base = cache->misses();
@@ -135,8 +314,8 @@ TEST(CostPathTest, SharedCacheKeysOnConfigAndEnergy) {
 
   // Same geometry, same energy, new engine: same fingerprint — the second
   // engine answers from the first engine's entry (a hit, not a miss).
-  auto twin = EngineBuilder().config(config_for(8, 8)).cost_cache(cache)
-                  .build("analytic");
+  auto twin = EngineBuilder().config(with_memory(config_for(8, 8)))
+                  .cost_cache(cache).build("analytic");
   EXPECT_EQ(twin->cost_fingerprint(), base->cost_fingerprint());
   const std::int64_t hits_before = cache->hits();
   EXPECT_TRUE(exactly_equal(twin->evaluate_cached(shape, 2), first));
@@ -146,8 +325,8 @@ TEST(CostPathTest, SharedCacheKeysOnConfigAndEnergy) {
   // Different geometry: different fingerprint, so the same (shape, k) key
   // misses and the answer matches THAT engine's scalar evaluate — never the
   // 8x8 entry.
-  auto wider = EngineBuilder().config(config_for(16, 16)).cost_cache(cache)
-                   .build("analytic");
+  auto wider = EngineBuilder().config(with_memory(config_for(16, 16)))
+                   .cost_cache(cache).build("analytic");
   EXPECT_NE(wider->cost_fingerprint(), base->cost_fingerprint());
   const CostEstimate wide = wider->evaluate_cached(shape, 2);
   EXPECT_TRUE(exactly_equal(wide, wider->evaluate(shape, 2)));
@@ -158,8 +337,8 @@ TEST(CostPathTest, SharedCacheKeysOnConfigAndEnergy) {
   // the fingerprint must change with it.
   arch::EnergyParams hot;
   hot.e_mult_fj *= 2.0;
-  auto pricier = EngineBuilder().config(config_for(8, 8)).energy(hot)
-                     .cost_cache(cache).build("analytic");
+  auto pricier = EngineBuilder().config(with_memory(config_for(8, 8)))
+                     .energy(hot).cost_cache(cache).build("analytic");
   EXPECT_NE(pricier->cost_fingerprint(), base->cost_fingerprint());
   const CostEstimate priced = pricier->evaluate_cached(shape, 2);
   EXPECT_TRUE(exactly_equal(priced, pricier->evaluate(shape, 2)));
@@ -318,8 +497,12 @@ TEST(CostPathTest, BatchedSubmitStressBooksBalance) {
     EXPECT_EQ(stats.completed, total) << dispatcher;
     EXPECT_EQ(stats.rejected, 0) << dispatcher;
     EXPECT_EQ(stats.promise_double_sets, 0) << dispatcher;
-    // The whole point: repeated shapes answer from the shared memo.
-    EXPECT_GT(stats.cost_cache_hits, 0) << dispatcher;
+    // Memory off: every estimate is a closed form recomputed per call, so
+    // the server's estimate store is never consulted and stays empty (the
+    // batched argmin runs inside evaluate_batch, not through the sweep
+    // store, so no lookup of any kind is counted).
+    EXPECT_EQ(stats.cost_cache_hits, 0) << dispatcher;
+    EXPECT_EQ(stats.cost_cache_misses, 0) << dispatcher;
   }
 }
 

@@ -1159,15 +1159,21 @@ TEST_F(ServeTest, StealingPreservesDrrServedShares) {
   // Four tenants, equal aggregate MAC volume in very different request
   // sizes, racing through the stealing dispatcher: each tenant's realized
   // hardware share must come out near 1/4 — cost-fair accounting survives
-  // affinity routing and stealing.
+  // affinity routing and stealing.  Serving is paused until the last
+  // client has submitted, so all four tenants are backlogged together and
+  // the shares measure the scheduler, not how the clients' submit loops
+  // happened to interleave with the shard workers.
   ServerOptions opts;
   opts.num_shards = 4;
   opts.max_batch = 4;
   opts.dispatcher = "stealing";
   Server server(shard16(), opts);
+  server.pause_serving(true);
 
+  constexpr int kClients = 4;
+  std::atomic<int> submitted{0};
   std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(7100 + static_cast<std::uint64_t>(c));
       auto weights = std::make_shared<gemm::Mat32>(
@@ -1181,6 +1187,7 @@ TEST_F(ServeTest, StealingPreservesDrrServedShares) {
         futures.push_back(server.submit_gemm(
             tenant, gemm::random_matrix(rng, t_rows, 32, -20, 20), weights));
       }
+      if (submitted.fetch_add(1) + 1 == kClients) server.pause_serving(false);
       for (auto& f : futures) f.get();
     });
   }
