@@ -319,24 +319,18 @@ int main(int argc, char** argv) {
            "memory-on cache holds " << mem_entries << " entries, over 2 x "
                                     << capacity);
 
-  auto best_rate = [&](const std::string& mode) {
-    for (const Result& r : results) {
-      if (r.mode == mode) return r.max();
-    }
-    return 0.0;
-  };
-  auto median_rate = [&](const std::string& mode) {
-    for (const Result& r : results) {
-      if (r.mode == mode) return r.median();
-    }
-    return 0.0;
+  auto row = [&](const std::string& mode) -> const Result& {
+    const auto it = std::find_if(results.begin(), results.end(),
+                                 [&](const Result& r) { return r.mode == mode; });
+    AF_CHECK(it != results.end(), "no rung named " << mode);
+    return *it;
   };
 
   std::printf("cost path (16x16 analytic, %d shapes, argmin k, %d trials):\n",
               kShapeCount, kTrials);
   std::printf("%20s %10s %12s %12s %12s %10s\n", "mode", "shapes",
               "min/s", "median/s", "max/s", "vs scalar");
-  const double scalar = median_rate("evaluate_scalar");
+  const double scalar = row("evaluate_scalar").median();
   for (const Result& r : results) {
     std::printf("%20s %10lld %12.0f %12.0f %12.0f %9.2fx\n", r.mode.c_str(),
                 static_cast<long long>(r.shapes), r.min(), r.median(),
@@ -344,9 +338,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "sweep store: best_mode_cached / sweep_uncached = %.2fx (median)\n",
-      median_rate("sweep_uncached") > 0
-          ? median_rate("best_mode_cached") / median_rate("sweep_uncached")
-          : 0.0);
+      row("best_mode_cached").median() / row("sweep_uncached").median());
   std::printf(
       "memory on (16x16, cache capacity %lld per store): %lld distinct "
       "shapes, %.0f shapes/s, %lld entries\n  VmHWM kB after each "
@@ -359,9 +351,9 @@ int main(int argc, char** argv) {
 
   // The smoke gates.  Both bars are deliberately loose (>= parity where the
   // expected win is 1.4-10x) so the gate cannot flake under CI noise.
-  AF_CHECK(best_rate("evaluate_batch") >= best_rate("evaluate_scalar"),
+  AF_CHECK(row("evaluate_batch").max() >= row("evaluate_scalar").max(),
            "batched evaluate lost to the scalar loop");
-  AF_CHECK(best_rate("submit_batched") >= best_rate("submit_scalar"),
+  AF_CHECK(row("submit_batched").max() >= row("submit_scalar").max(),
            "batched submit lost to scalar submit");
 
   std::ostringstream json;
